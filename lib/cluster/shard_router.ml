@@ -200,10 +200,8 @@ let freshness_proof t =
       | Some store ->
           let fw = Worm.firmware store in
           (* a freshness proof built from a bound that predates recent
-             writes would undercount the stripe — re-sign when the SCPU
-             counter has moved past the cache (Server.refresh's rule) *)
-          if Serial.((Worm.cached_current_bound store).Firmware.sn < Firmware.sn_current fw) then
-            Worm.heartbeat store;
+             writes would undercount the stripe *)
+          Worm.refresh_current_bound store;
           let bound =
             {
               Cluster_proof.shard_index = i;

@@ -109,8 +109,11 @@ val register_ack : t -> shard:int -> local:Serial.t -> Serial.t
 
 val freshness_proof : t -> (Cluster_proof.t, string) result
 (** Assemble the cluster-level proof from every shard's current serving
-    store. [Error] if some shard is fenced with no mirror (the cluster
-    cannot prove freshness for that stripe). *)
+    store, each shard's current bound first refreshed by
+    {!Worm_core.Worm.refresh_current_bound} (re-signed only if that
+    shard's counter moved past it or it aged out). [Error] if some shard
+    is fenced with no mirror (the cluster cannot prove freshness for
+    that stripe). *)
 
 val verifiers : t -> Client.t option array
 (** One verifying client per shard, bound to its serving store's

@@ -44,6 +44,8 @@ val expiry : t -> int64
     litigation permitting. *)
 
 val is_expired : t -> now:int64 -> bool
+(** [now] is strictly after {!expiry}; the Retention Monitor's schedule
+    ({!Vexp.pop_due}) uses the same boundary. *)
 
 val on_hold : t -> now:int64 -> bool
 (** A hold blocks deletion until released or its timeout passes. *)

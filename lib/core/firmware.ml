@@ -521,7 +521,7 @@ let lit_release t ~vrd_bytes ~authority ~credential ~timestamp =
         end
       end
 
-let next_rm_wakeup t = Option.map fst (Vexp.next_due t.vexp)
+let next_rm_wakeup t = Option.map (fun (expiry, _) -> Int64.succ expiry) (Vexp.next_due t.vexp)
 let rm_pop_due t = Vexp.pop_due t.vexp ~now:(Device.now t.dev)
 
 let vexp_feed t entries =

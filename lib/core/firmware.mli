@@ -208,7 +208,9 @@ val erased_tenants : t -> erasure_cert list
 (** {2 Retention Monitor} *)
 
 val next_rm_wakeup : t -> int64 option
-(** When the RM's alarm should next fire ([None]: nothing scheduled). *)
+(** When the RM's alarm should next fire ([None]: nothing scheduled):
+    the first instant strictly after the earliest expiry, when
+    {!rm_pop_due} returns that entry and {!delete} accepts it. *)
 
 val rm_pop_due : t -> (int64 * Serial.t) list
 (** Entries now due for deletion, earliest first. The host must follow

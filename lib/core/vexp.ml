@@ -52,7 +52,7 @@ let next_due t = Entry_set.min_elt_opt t.entries
 let pop_due t ~now =
   let rec go acc =
     match Entry_set.min_elt_opt t.entries with
-    | Some ((expiry, sn) as entry) when Int64.compare expiry now <= 0 ->
+    | Some ((expiry, sn) as entry) when Int64.compare expiry now < 0 ->
         t.entries <- Entry_set.remove entry t.entries;
         Hashtbl.remove t.by_sn sn;
         go (entry :: acc)

@@ -32,10 +32,14 @@ val remove : t -> Serial.t -> bool
 val mem : t -> Serial.t -> bool
 
 val next_due : t -> (int64 * Serial.t) option
-(** Earliest scheduled expiration — the RM's wake-up alarm time. *)
+(** Earliest scheduled expiration. The entry becomes due one instant
+    later (see {!pop_due}). *)
 
 val pop_due : t -> now:int64 -> (int64 * Serial.t) list
-(** Remove and return all entries with [expiry <= now], earliest first. *)
+(** Remove and return all entries with [expiry < now], earliest first:
+    a record is deletable strictly after its expiry
+    ({!Attr.is_expired}), so an entry is never popped at an instant the
+    firmware would refuse to delete it. *)
 
 val to_list : t -> (int64 * Serial.t) list
 (** Ascending by expiry; for inspection and idle-time reconciliation. *)

@@ -331,9 +331,19 @@ let heartbeat t =
   | Some j -> ignore (Journal.anchor j)
   | None -> ()
 
+let current_bound_aged t =
+  Int64.compare (Int64.sub (now t) t.current_cache.Firmware.timestamp) t.config.heartbeat_interval_ns > 0
+
+(* The one freshness rule for the served SN_current bound. A bound that
+   predates recent writes would truncate an audit walk (or undercount a
+   cluster stripe) while still verifying, so re-sign when the SCPU
+   counter has moved past the cache — and, like any heartbeat, when the
+   timestamp has aged out. *)
+let refresh_current_bound t =
+  if Serial.(t.current_cache.Firmware.sn < Firmware.sn_current t.fw) || current_bound_aged t then heartbeat t
+
 let cached_current_bound t =
-  let age = Int64.sub (now t) t.current_cache.Firmware.timestamp in
-  if Int64.compare age t.config.heartbeat_interval_ns > 0 then heartbeat t;
+  if current_bound_aged t then heartbeat t;
   t.current_cache
 
 let cached_base_bound t =
@@ -374,7 +384,10 @@ let read t sn =
           if Serial.(sn < base.Firmware.sn) then Proof.Proof_below_base base
           else begin
             let current = cached_current_bound t in
-            if Serial.(sn > current.Firmware.sn) then Proof.Proof_unallocated current
+            (* Compare against the SCPU counter, not the cached bound: a
+               serial the counter has issued is never claimed
+               unallocated, however far writes have run past the cache. *)
+            if Serial.(sn > Firmware.sn_current t.fw) then Proof.Proof_unallocated current
             else Proof.Refused "no record and no proof (inconsistent store)"
           end
     end

@@ -113,7 +113,9 @@ val write_shared :
 val read : t -> Serial.t -> Proof.read_response
 (** Honest host read: returns the record or the strongest available
     proof of rightful absence. Touches no SCPU resources except a
-    heartbeat-stale current bound refresh. *)
+    heartbeat-stale bound refresh. A serial the SCPU counter has issued
+    is never answered [Proof_unallocated], however stale the cached
+    bound: with no record or proof for it the read is [Refused]. *)
 
 val expire_due : t -> (Serial.t * (unit, Firmware.error) result) list
 (** Run the Retention Monitor: delete every record whose retention has
@@ -122,6 +124,8 @@ val expire_due : t -> (Serial.t * (unit, Firmware.error) result) list
     rescheduled. *)
 
 val next_rm_wakeup : t -> int64 option
+(** When {!expire_due} next has work: the first instant strictly after
+    the earliest scheduled expiry ({!Worm_core.Firmware.next_rm_wakeup}). *)
 
 (** {2 Crypto-erasure (right to be forgotten)} *)
 
@@ -172,7 +176,16 @@ val import_record :
 (** {2 Idle-period maintenance} *)
 
 val heartbeat : t -> unit
-(** Refresh the timestamped current bound (one strong signature). *)
+(** Refresh the timestamped current bound (one strong signature) and
+    anchor the journal, if any. *)
+
+val refresh_current_bound : t -> unit
+(** {!heartbeat} if the SCPU counter has moved past the cached current
+    bound or the bound is older than [heartbeat_interval_ns]; otherwise
+    nothing. The one freshness rule for every reply that carries
+    [SN_current] (an audit slice, a read above the counter, a cluster
+    freshness proof); convergent — a second call at the same store state
+    signs nothing. *)
 
 val strengthen_pending : t -> ?deadline:int64 -> ?max:int -> unit -> int
 (** Drain the deferred queue in signing batches: upgrade weak/MAC
@@ -279,6 +292,10 @@ val vrdt_bytes : t -> int
 val host_busy_ns : t -> int64
 val reset_host_busy : t -> unit
 val cached_current_bound : t -> Firmware.current_bound
+(** The cached current bound, re-signed only once it is older than
+    [heartbeat_interval_ns] (see {!refresh_current_bound} for the rule
+    that also tracks the counter). *)
+
 val cached_base_bound : t -> Firmware.base_bound
 
 (** {2 Scrubber hooks} *)
@@ -290,7 +307,7 @@ val peek_current_bound : t -> Firmware.current_bound
 val peek_base_bound : t -> Firmware.base_bound
 (** The cached base bound without {!cached_base_bound}'s re-signing.
     {!Worm_proto.Server.handle} reads bounds only through the peeks so
-    dispatch stays pure; {!Worm_proto.Server.refresh} heals staleness. *)
+    dispatch stays pure; {!Worm_proto.Server.refresh_for} heals staleness. *)
 
 val request_audit : t -> Serial.t -> bool
 (** Re-queue a live record for an SCPU data audit (e.g. after a repair

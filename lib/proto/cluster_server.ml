@@ -1,6 +1,7 @@
 open Worm_core
 module Router = Worm_cluster.Shard_router
 module Cluster_proof = Worm_cluster.Cluster_proof
+module Partition = Worm_cluster.Partition
 
 type t = {
   router : Router.t;
@@ -85,12 +86,27 @@ let handle t = function
   | Message.Hello | Message.Read _ | Message.Read_many _ | Message.Audit_slice _ ->
       Message.Protocol_error "single-store request sent to a cluster front end; use a shard server"
 
-let refresh t =
-  for i = 0 to Router.shard_count t.router - 1 do
-    match shard_server t i with
-    | Some server -> Server.refresh server
-    | None -> ()
-  done
+(* Request-scoped refresh, per shard: every serving shard sees the
+   locals a [Cluster_read*] routes to it as one [Read_many], so every
+   base bound is healed and a shard's current bound is
+   re-signed only if a read lands above that shard's own counter. A
+   [Cluster_proof_get] re-signs inside {!Router.freshness_proof}. An
+   over-limit [Cluster_read_many] is not walked: [handle] refuses it
+   before any per-SN work. *)
+let refresh_for t request =
+  let n = Router.shard_count t.router in
+  let locals = Array.make n [] in
+  let route g =
+    let i = Partition.shard_of ~shards:n g in
+    locals.(i) <- Partition.local_of ~shards:n g :: locals.(i)
+  in
+  (match request with
+  | Message.Cluster_read g -> route g
+  | Message.Cluster_read_many gs when List.compare_length_with gs t.limits.Server.max_read_many <= 0 -> List.iter route gs
+  | _ -> ());
+  Array.iteri
+    (fun i sns -> Option.iter (fun server -> Server.refresh_for server (Message.Read_many sns)) (shard_server t i))
+    locals
 
 (* Encode-once caches for the cluster's own hot artifacts. The router
    assembles a fresh proof/ack record per request, but every signed
@@ -149,12 +165,12 @@ let handle_bytes t bytes =
   match Message.decode_request bytes with
   | Error e -> Message.encode_response (Message.Protocol_error e)
   | Ok request -> begin
-      (* [refresh] is inside the guard for the same reason as in
-         {!Server.handle_bytes}: it signs through every shard's SCPU,
+      (* [refresh_for] is inside the guard for the same reason as in
+         {!Server.handle_bytes}: it signs through the shards' SCPUs,
          and a device fault mid-refresh must degrade to a protocol
          error, not kill the dispatcher. *)
       match
-        refresh t;
+        refresh_for t request;
         encode_response t (handle t request)
       with
       | reply -> reply

@@ -37,7 +37,13 @@ val handle : t -> Message.request -> Message.response
 
 val handle_bytes : t -> string -> string
 (** Decode → refresh shard bounds → dispatch → encode; total on
-    adversarial input, like {!Server.handle_bytes}. *)
+    adversarial input, like {!Server.handle_bytes}. The refresh is
+    request-scoped: every shard's base bound is healed, but a shard's
+    [SN_current] is re-signed only where a reply carries it — a
+    [Cluster_read]/[Cluster_read_many] of a serial above the owning
+    shard's counter (found through {!Worm_cluster.Partition}), or a
+    [Cluster_proof_get], which refreshes every shard inside
+    {!Worm_cluster.Shard_router.freshness_proof}. *)
 
 val encode_response : t -> Message.response -> string
 (** Encode through the cluster's encode-once caches: the aggregated

@@ -184,7 +184,6 @@ let flush t ~now =
     if batch = [] then ()
     else begin
     let before = busy_total t in
-    Server.refresh t.server;
     let witness =
       match t.config.witness with
       | Fixed mode -> mode
@@ -286,9 +285,10 @@ let process_arrival t ~now job =
   | Some request ->
       (* reads and audits are served interleaved, never held for a batch *)
       let before = busy_total t in
-      Server.refresh t.server;
       let response =
-        try Server.handle t.server request
+        try
+          Server.refresh_for t.server request;
+          Server.handle t.server request
         with exn -> Message.Protocol_error ("dispatch failed: " ^ Printexc.to_string exn)
       in
       let finished = Int64.add start (Int64.sub (busy_total t) before) in

@@ -6,13 +6,18 @@
     per connection never reaches that regime. This server runs a single
     deterministic event loop over virtual time instead:
 
-    - {b reads and audits} are dispatched immediately (through the pure
-      {!Server.handle}) and interleave freely between write flushes;
+    - {b reads and audits} are dispatched immediately (through
+      {!Server.refresh_for} and the pure {!Server.handle}) and
+      interleave freely between write flushes; [SN_current] is re-signed
+      only when the reply carries it (an audit slice, a read above the
+      SCPU counter);
     - {b writes} are admitted into an open batch and witnessed when the
       batch fills or its virtual deadline lapses — one
       {!Worm_core.Firmware.write_batch} signing flush covers every
       connection's queued writes, so cross-client coalescing shows up
-      directly as fewer {!Worm_scpu.Device.stats} [sign_calls];
+      directly as fewer {!Worm_scpu.Device.stats} [sign_calls]. A flush
+      signs only its witnesses (two strong signatures per [Strong_now]
+      write) and no bound;
     - {b backpressure} is tied to the deferred-strengthening debt
       ledger: past [debt_ceiling] the server sheds writes with
       {!Message.Busy} and spends the slot strengthening a chunk of the

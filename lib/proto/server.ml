@@ -119,18 +119,35 @@ let response_wire_length t response =
   | Message.Hello_ack _ -> String.length (encode_response t response)
   | _ -> Message.response_wire_length ~read_response:t.hook response
 
-(* Bound-cache maintenance, hoisted out of dispatch. An audit must cover
-   every allocated serial: a cached current bound that predates recent
-   writes would truncate the walk while the final above-bound probe
-   still verified — so re-sign when the SCPU counter has moved past the
-   cache. Keeping the mutation here (and not in [handle]) keeps dispatch
-   pure: serving a request consumes no SCPU signatures, so a replaying
-   or duplicating client cannot burn device time, and re-dispatching the
+(* Bound-cache maintenance, hoisted out of dispatch. The base bound is
+   healed on every request (it re-signs only when the base moved or the
+   bound expired). The current bound is re-signed by
+   {!Worm.refresh_current_bound} only for a request whose reply carries
+   it: an audit slice, or a read of a serial above the SCPU counter
+   (answered [Proof_unallocated]). A read of a record written since the
+   last bound needs no new bound, so read-after-write signs nothing.
+   Keeping the mutation here (and not in [handle]) keeps dispatch pure:
+   serving a request consumes no SCPU signatures, so a replaying or
+   duplicating client cannot burn device time, and re-dispatching the
    same bytes re-serves the identical reply. *)
-let refresh t =
+let refresh_bounds t ~current =
   ignore (Worm.cached_base_bound t.worm : Firmware.base_bound);
-  let current = Worm.cached_current_bound t.worm in
-  if Serial.(current.Firmware.sn < Firmware.sn_current (Worm.firmware t.worm)) then Worm.heartbeat t.worm
+  if current then Worm.refresh_current_bound t.worm
+
+let refresh t = refresh_bounds t ~current:true
+
+let refresh_for t request =
+  let above_counter sn = Serial.(sn > Firmware.sn_current (Worm.firmware t.worm)) in
+  refresh_bounds t
+    ~current:
+      (match request with
+      | Message.Audit_slice _ -> true
+      | Message.Read sn -> above_counter sn
+      | Message.Read_many sns ->
+          (* an over-limit frame is refused by [handle] before any per-SN
+             work, and this scan must not walk it either *)
+          List.compare_length_with sns t.limits.max_read_many <= 0 && List.exists above_counter sns
+      | _ -> false)
 
 let handle t = function
   | Message.Hello ->
@@ -198,18 +215,19 @@ let handle t = function
 (* The server must stay total on adversarial input: nothing a client
    sends may crash the dispatcher — a fault-injecting transport (see
    {!Faulty}) replays and mangles requests freely. Bound staleness is
-   healed by [refresh] before dispatch; [refresh] is convergent (a
-   second call at the same store state does nothing), so replayed bytes
-   still re-serve identical replies for the read/audit vocabulary. *)
+   healed by [refresh_for] before dispatch; it is convergent (a second
+   call at the same store state does nothing), so replayed bytes still
+   re-serve identical replies for the read/audit vocabulary. *)
 let handle_bytes t bytes =
   match Message.decode_request bytes with
   | Error e -> Message.encode_response (Message.Protocol_error e)
   | Ok request -> begin
-      (* [refresh] sits inside the guard: it signs through the SCPU, and
-         a device fault (ledger exhaustion, clock refusal) mid-refresh
-         must degrade to a protocol error, not kill the dispatcher. *)
+      (* [refresh_for] sits inside the guard: it signs through the SCPU,
+         and a device fault (ledger exhaustion, clock refusal)
+         mid-refresh must degrade to a protocol error, not kill the
+         dispatcher. *)
       match
-        refresh t;
+        refresh_for t request;
         encode_response t (handle t request)
       with
       | reply -> reply

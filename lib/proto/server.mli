@@ -22,27 +22,39 @@ val store : t -> Worm_core.Worm.t
 val limits : t -> limits
 
 val refresh : t -> unit
-(** Heal bound-cache staleness: re-sign the base/current bounds if the
-    base moved, the cache expired, or writes advanced the SCPU counter
-    past the cached current bound. This is the {e only} place the serve
-    path spends SCPU signatures; it is convergent — a second call at the
-    same store state does nothing. {!handle_bytes} calls it before every
-    dispatch; the event server calls it once per batch. *)
+(** Heal bound-cache staleness eagerly: re-sign the base bound if the
+    base moved or the bound expired, and the current bound by
+    {!Worm_core.Worm.refresh_current_bound} (the SCPU counter moved past
+    the cached bound, or it is older than the heartbeat interval).
+    Convergent — a second call at the same store state does nothing.
+    The serve path does not call this: it uses {!refresh_for}, which
+    signs [SN_current] only when the reply carries it. *)
+
+val refresh_for : t -> Message.request -> unit
+(** The request-scoped refresh that {!handle_bytes} and the event
+    server run before dispatch, and the only place the serve path
+    spends SCPU signatures. The base bound is healed as in {!refresh};
+    the current bound is refreshed only when the reply will carry it —
+    an [Audit_slice], or a [Read]/[Read_many] of a serial above the
+    SCPU counter (answered [Proof_unallocated]). Reading a record
+    written since the last bound signs nothing. An over-limit
+    [Read_many] is not scanned: {!handle} refuses it before any per-SN
+    work. *)
 
 val handle : t -> Message.request -> Message.response
 (** Dispatch one request. For the read/audit vocabulary this is a pure
     function of the request and store state — it reads bounds through
-    {!Worm_core.Worm.peek_base_bound} / [peek_current_bound] and never
-    signs, so replaying a request re-serves identical bytes (pair with
-    {!refresh} for freshness). [Write] is the one mutating request:
-    each dispatch allocates a fresh serial. *)
+    {!Worm_core.Worm.peek_base_bound} / [peek_current_bound] (or a read
+    whose bound {!refresh_for} has just healed) and never signs, so
+    replaying a request re-serves identical bytes. [Write] is the one
+    mutating request: each dispatch allocates a fresh serial. *)
 
 val handle_bytes : t -> string -> string
-(** Decode, {!refresh}, dispatch, encode; malformed requests produce an
-    encoded [Protocol_error], and so does a dispatch that raises —
-    adversarial bytes never crash the server. For non-[Write] requests a
-    byte-for-byte replay re-serves the identical reply, so a duplicating
-    transport is harmless. *)
+(** Decode, {!refresh_for}, dispatch, encode; malformed requests produce
+    an encoded [Protocol_error], and so does a dispatch (or refresh)
+    that raises — adversarial bytes never crash the server. For
+    non-[Write] requests a byte-for-byte replay re-serves the identical
+    reply, so a duplicating transport is harmless. *)
 
 val encode_response : t -> Message.response -> string
 (** Encode through this server's encode-once memo: epoch-stable

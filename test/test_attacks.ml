@@ -191,6 +191,35 @@ let test_hiding_with_stale_bound_detected () =
   | Some response -> expect_violation_response "stale bound replay" env sn response
   | None -> Alcotest.fail "no stale bound available"
 
+let test_hidden_past_signed_bound_flagged_over_the_wire () =
+  (* The honest server no longer re-signs SN_current before every
+     request, so the cached bound routinely predates the newest writes.
+     A record hidden in that gap, inside the staleness tolerance, must
+     still be flagged — on a point read (the store answers from the
+     SCPU counter, not the cached bound) and by the remote audit (the
+     slice carries SN_current, so it re-signs and walks the gap). *)
+  let module Remote_client = Worm_proto.Remote_client in
+  let env = fresh_env () in
+  ignore (write_n env ~retention_s:10_000. 2);
+  Worm.heartbeat env.store;
+  let sn = write env ~blocks:[ "written after the last bound" ] () in
+  let tail = write env ~blocks:[ "bystander" ] () in
+  let mallory = Adversary.create env.store in
+  Alcotest.(check bool) "hidden" true (Adversary.hide_record mallory sn);
+  let server = Worm_proto.Server.create env.store in
+  let rc =
+    match Remote_client.connect ~ca:(ca_pub ()) ~clock:env.clock (Worm_proto.Server.handle_bytes server) with
+    | Ok rc -> rc
+    | Error e -> Alcotest.fail e
+  in
+  (match Remote_client.read rc sn with
+  | Client.Violation _ -> ()
+  | v -> Alcotest.failf "point read: expected violation, got %s" (Client.verdict_name v));
+  let audit = Remote_client.run_remote_audit rc in
+  Alcotest.(check int) "audit walks every allocated serial" (Serial.to_int tail) audit.Remote_client.scanned;
+  Alcotest.(check (list int64)) "only the hidden record flagged" [ Serial.to_int64 sn ]
+    (List.map (fun (s, _) -> Serial.to_int64 s) audit.Remote_client.violations)
+
 let test_stale_base_bound_replay_detected () =
   let env = fresh_env () in
   (* delete everything so the base moves, and capture the old base *)
@@ -351,6 +380,7 @@ let suite =
     ("T2: staleness-window limitation documented", `Quick, test_staleness_window_limitation);
     ("T2: option (i) closes the staleness window", `Quick, test_option_i_closes_staleness_window);
     ("T2: hiding with stale bound detected", `Quick, test_hiding_with_stale_bound_detected);
+    ("T2: hidden past the signed bound, over the wire", `Quick, test_hidden_past_signed_bound_flagged_over_the_wire);
     ("T2: stale base bound replay detected", `Quick, test_stale_base_bound_replay_detected);
     ("T2: window mix-and-match detected", `Quick, test_window_mix_and_match_detected);
     ("T2: denying server always caught", `Quick, test_denying_server_always_caught);

@@ -348,6 +348,51 @@ let test_cluster_server_routes_and_survives_failover () =
       | v -> Alcotest.fail (Client.verdict_name v))
   | r -> Alcotest.fail (Message.describe_response r)
 
+let shard_strong_signs router =
+  Array.init (Router.shard_count router) (fun i ->
+      match Router.serving_store router i with
+      | Some store -> (Device.stats (Firmware.device (Worm.firmware store))).Device.strong_signs
+      | None -> Alcotest.failf "shard %d has no serving store" i)
+
+let test_unallocated_read_resigns_owning_shard_only () =
+  let router, _clock = fresh_router ~shards:2 ~mirrored:false () in
+  for i = 1 to 4 do
+    ignore (write_exn router [ Printf.sprintf "r%d" i ])
+  done;
+  let front = Cluster_server.create router in
+  let exchange request = Message.decode_response (Cluster_server.handle_bytes front (Message.encode_request request)) in
+  let delta f =
+    let before = shard_strong_signs router in
+    let r = f () in
+    (Array.map2 ( - ) (shard_strong_signs router) before, r)
+  in
+  (* both shards' counters have moved past their cached bounds; a read
+     of a live record needs neither bound *)
+  let signs, _ = delta (fun () -> exchange (Message.Cluster_read (Serial.of_int 3))) in
+  Alcotest.(check (array int)) "live read signs nothing" [| 0; 0 |] signs;
+  let g = Serial.of_int 101 in
+  Alcotest.(check int) "owned by shard 0" 0 (Partition.shard_of ~shards:2 g);
+  let signs, reply = delta (fun () -> exchange (Message.Cluster_read g)) in
+  Alcotest.(check (array int)) "only the owning shard re-signs" [| 1; 0 |] signs;
+  (match reply with
+  | Ok (Message.Cluster_read_reply { shard; response; _ }) -> (
+      match Router.verify_read router (Router.verifiers router) g (shard, response) with
+      | Client.Never_written -> ()
+      | v -> Alcotest.fail (Client.verdict_name v))
+  | _ -> Alcotest.fail "expected a cluster read reply");
+  (* an over-limit read-many is refused before any per-SN work: no walk,
+     no signature, even though every serial is above both counters *)
+  let many = List.init 1000 (fun i -> Serial.of_int (200 + i)) in
+  let signs, reply = delta (fun () -> exchange (Message.Cluster_read_many many)) in
+  Alcotest.(check (array int)) "over-limit frame signs nothing" [| 0; 0 |] signs;
+  (match reply with Ok (Message.Protocol_error _) -> () | _ -> Alcotest.fail "expected Protocol_error");
+  (* the sentinel serial routes inside the guard: a typed reply, never
+     an escaped exception *)
+  match exchange (Message.Cluster_read_many [ Serial.zero; g ]) with
+  | Ok (Message.Cluster_read_many_reply _ | Message.Protocol_error _) -> ()
+  | Ok r -> Alcotest.fail (Message.describe_response r)
+  | Error e -> Alcotest.fail e
+
 let suite =
   [
     ("partition roundtrip (qcheck)", `Quick, fun () -> QCheck.Test.check_exn prop_partition_roundtrip);
@@ -361,6 +406,7 @@ let suite =
     ("fenced shard degrades scrub honestly", `Quick, test_fenced_shard_degrades_scrub_honestly);
     ("cluster message codecs", `Quick, test_cluster_message_codecs);
     ("cluster server routes across failover", `Quick, test_cluster_server_routes_and_survives_failover);
+    ("unallocated read re-signs only the owning shard", `Quick, test_unallocated_read_resigns_owning_shard_only);
   ]
 
 let () = Alcotest.run "worm_cluster" [ ("cluster", suite) ]

@@ -238,6 +238,82 @@ let test_multi_client_convergence () =
   Alcotest.(check bool) "batching reduced signing invocations" true
     (r.Sim.mc_sign_calls < r.Sim.mc_baseline_sign_calls)
 
+(* ---------- SN_current is signed only where a reply carries it ---------- *)
+
+let strong_signs env = (Worm_scpu.Device.stats env.device).Worm_scpu.Device.strong_signs
+
+let signs_during env f =
+  let before = strong_signs env in
+  let r = f () in
+  (strong_signs env - before, r)
+
+let test_flush_signs_only_witnesses () =
+  (* Two strong signatures per Strong_now write and nothing else: a
+     flush after earlier writes used to re-sign the current bound first. *)
+  let env, es = es_fixture () in
+  let policy = short_policy () in
+  let burst ~at n =
+    for i = 0 to n - 1 do
+      Event_server.submit es ~client:i ~at (Message.Write { policy; tenant = ""; blocks = [ Printf.sprintf "w%d" i ] })
+    done;
+    fst (signs_during env (fun () -> Event_server.run es))
+  in
+  let n = 5 in
+  Alcotest.(check int) "first flush: 2n" (2 * n) (burst ~at:0L n);
+  Alcotest.(check int) "second flush: still 2n" (2 * n) (burst ~at:(Clock.ns_of_ms 50.) n);
+  Alcotest.(check int) "one flush each" 2 (Event_server.stats es).Event_server.flushes
+
+let test_read_live_signs_nothing () =
+  let env = fresh_env () in
+  let server = Server.create env.store in
+  let sns = write_n env 3 in
+  let bytes = Message.encode_request (Message.Read (List.nth sns 2)) in
+  let signs, reply = signs_during env (fun () -> Server.handle_bytes server bytes) in
+  Alcotest.(check int) "read-after-write signs nothing" 0 signs;
+  match Message.decode_response reply with
+  | Ok (Message.Read_reply { response = Proof.Found _; _ }) -> ()
+  | _ -> Alcotest.fail "expected the record"
+
+let test_bound_carrying_replies_sign_once () =
+  let env = fresh_env () in
+  let server = Server.create env.store in
+  let once label request check =
+    ignore (write_n env 2);
+    let bytes = Message.encode_request request in
+    let signs, first = signs_during env (fun () -> Server.handle_bytes server bytes) in
+    Alcotest.(check int) (label ^ ": one signature") 1 signs;
+    (match Message.decode_response first with Ok r -> check r | Error e -> Alcotest.fail e);
+    let signs, replay = signs_during env (fun () -> Server.handle_bytes server bytes) in
+    Alcotest.(check int) (label ^ ": replay signs nothing") 0 signs;
+    Alcotest.(check string) (label ^ ": replay bytes identical") first replay
+  in
+  once "read above counter" (Message.Read (Serial.of_int 1000)) (function
+    | Message.Read_reply { sn; response = Proof.Proof_unallocated _ as response } ->
+        Alcotest.(check string) "verdict" "never-written"
+          (Client.verdict_name (Client.verify_read env.client ~sn response))
+    | r -> Alcotest.fail (Message.describe_response r));
+  once "audit slice" (Message.Audit_slice { cursor = Serial.first; max = 16 }) (function
+    | Message.Audit_slice_reply { current; replies; _ } ->
+        Alcotest.(check int64) "bound covers every write" 4L (Serial.to_int64 current.Firmware.sn);
+        Alcotest.(check int) "every record served" 4 (List.length replies)
+    | r -> Alcotest.fail (Message.describe_response r))
+
+let test_over_limit_read_many_signs_nothing () =
+  (* The cap refuses before any per-SN work, and the request-scoped
+     refresh must not walk the frame first: every SN here lies above
+     the counter, so a walk would re-sign the bound. *)
+  let env = fresh_env () in
+  ignore (write_n env 2);
+  let server = capped_server env in
+  let sns = List.init 1000 (fun i -> Serial.of_int (100 + i)) in
+  let signs, reply =
+    signs_during env (fun () -> Server.handle_bytes server (Message.encode_request (Message.Read_many sns)))
+  in
+  Alcotest.(check int) "no signature" 0 signs;
+  match Message.decode_response reply with
+  | Ok (Message.Protocol_error _) -> ()
+  | _ -> Alcotest.fail "expected Protocol_error"
+
 let () =
   Alcotest.run "worm_event_server"
     [
@@ -255,5 +331,12 @@ let () =
           Alcotest.test_case "cross-client write batching" `Quick test_event_server_batches;
           Alcotest.test_case "debt-ceiling backpressure" `Quick test_event_server_backpressure;
           Alcotest.test_case "faulty multi-client converges" `Quick test_multi_client_convergence;
+        ] );
+      ( "bound-refresh",
+        [
+          Alcotest.test_case "flush signs only its witnesses" `Quick test_flush_signs_only_witnesses;
+          Alcotest.test_case "read of a live record signs nothing" `Quick test_read_live_signs_nothing;
+          Alcotest.test_case "bound-carrying replies sign once" `Quick test_bound_carrying_replies_sign_once;
+          Alcotest.test_case "over-limit read-many signs nothing" `Quick test_over_limit_read_many_signs_nothing;
         ] );
     ]

@@ -324,16 +324,17 @@ let test_rm_scheduling () =
   in
   let _r300 = w 300. in
   let r100 = w 100. in
-  (* the RM alarm targets the EARLIEST expiry even though it was written later *)
+  (* the RM alarm targets the EARLIEST expiry even though it was written
+     later, firing at the first instant strictly after it *)
   (match Firmware.next_rm_wakeup (fw env) with
-  | Some t -> Alcotest.(check int64) "alarm at 100s" (Clock.ns_of_sec 100.) t
+  | Some t -> Alcotest.(check int64) "alarm just after 100s" (Int64.succ (Clock.ns_of_sec 100.)) t
   | None -> Alcotest.fail "no alarm");
   Clock.advance env.clock (Clock.ns_of_sec 150.);
   let due = Firmware.rm_pop_due (fw env) in
   Alcotest.(check (list int64)) "only the earlier record due" [ Serial.to_int64 r100.Vrd.sn ]
     (List.map (fun (_, s) -> Serial.to_int64 s) due);
   match Firmware.next_rm_wakeup (fw env) with
-  | Some t -> Alcotest.(check int64) "next alarm at 300s" (Clock.ns_of_sec 300.) t
+  | Some t -> Alcotest.(check int64) "next alarm just after 300s" (Int64.succ (Clock.ns_of_sec 300.)) t
   | None -> Alcotest.fail "second alarm missing"
 
 let test_vexp_feed_rejects_deleted () =

@@ -149,6 +149,27 @@ let test_remote_full_audit_honest () =
   Alcotest.(check int64) "below-base region skipped" 4L audit.Remote_client.skipped_below_base;
   Alcotest.(check bool) "batched, not per-record" true (audit.Remote_client.round_trips <= 4)
 
+let test_remote_audit_covers_writes_past_bound () =
+  (* Theorem 2 under the request-scoped refresh: reads of live records
+     no longer re-sign SN_current, so the bound predates the newest
+     writes when the audit starts — the slice must re-sign it and walk
+     every allocated serial, not stop at the stale bound. *)
+  let env, _server, transport = remote_env () in
+  ignore (write_n env ~retention_s:10_000. 3);
+  Worm.heartbeat env.store;
+  let late = write_n env ~retention_s:10_000. 4 in
+  let rc = connect_exn env transport in
+  List.iter
+    (fun sn ->
+      match Remote_client.read rc sn with
+      | Client.Valid_data _ -> ()
+      | v -> Alcotest.fail (Client.verdict_name v))
+    late;
+  Alcotest.(check int64) "reads left the bound behind" 3L (Serial.to_int64 (Worm.peek_current_bound env.store).Firmware.sn);
+  let audit = Remote_client.run_remote_audit rc in
+  Alcotest.(check int) "no violations" 0 (List.length audit.Remote_client.violations);
+  Alcotest.(check int) "every allocated serial scanned" 7 audit.Remote_client.scanned
+
 let refuse_slices transport req =
   (* a dishonest dispatcher serves audit slices but refuses every record *)
   match Message.decode_request req with
@@ -508,6 +529,7 @@ let suite =
     ("handshake and read", `Quick, test_handshake_and_read);
     ("audit sweep", `Quick, test_audit_sweep);
     ("remote full audit, honest server", `Quick, test_remote_full_audit_honest);
+    ("remote audit covers writes past the bound", `Quick, test_remote_audit_covers_writes_past_bound);
     ("remote audit catches refusing dispatcher", `Quick, test_remote_audit_catches_refusing_dispatcher);
     ("refused slices heal by per-record fallback", `Quick, test_refused_slices_heal_by_record_fallback);
     ("raising transport never escapes", `Quick, test_raising_transport_never_escapes);

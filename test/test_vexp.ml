@@ -26,7 +26,9 @@ let test_vexp_duplicate_replaces () =
   ignore (Vexp.insert v ~expiry:500L (sn 1));
   Alcotest.(check int) "one entry" 1 (Vexp.length v);
   Alcotest.(check (list int64)) "old schedule gone" [] (List.map fst (Vexp.pop_due v ~now:200L));
-  Alcotest.(check int) "new schedule fires" 1 (List.length (Vexp.pop_due v ~now:500L))
+  (* due strictly after its expiry *)
+  Alcotest.(check int) "not yet at its expiry" 0 (List.length (Vexp.pop_due v ~now:500L));
+  Alcotest.(check int) "new schedule fires" 1 (List.length (Vexp.pop_due v ~now:501L))
 
 let test_vexp_remove () =
   let v = Vexp.create ~capacity:10 in
@@ -63,7 +65,7 @@ let prop_vexp_pop_sorted =
       List.iter (fun (e, s) -> ignore (Vexp.insert v ~expiry:(Int64.of_int e) (sn s))) entries;
       let due = Vexp.pop_due v ~now:500L in
       let expiries = List.map fst due in
-      List.sort compare expiries = expiries && List.for_all (fun e -> e <= 500L) expiries)
+      List.sort compare expiries = expiries && List.for_all (fun e -> e < 500L) expiries)
 
 let prop_vexp_never_over_capacity =
   QCheck.Test.make ~name:"never exceeds capacity" ~count:200

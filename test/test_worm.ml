@@ -59,15 +59,38 @@ let test_rm_respects_order_and_reschedules () =
   let env = fresh_env () in
   let sn_long = write env ~policy:(short_policy ~retention_s:500. ()) () in
   let sn_short = write env ~policy:(short_policy ~retention_s:50. ()) () in
-  (* RM alarm = earliest expiry *)
+  (* RM alarm = first instant after the earliest expiry *)
   (match Worm.next_rm_wakeup env.store with
-  | Some t -> Alcotest.(check int64) "alarm" (Clock.ns_of_sec 50.) t
+  | Some t -> Alcotest.(check int64) "alarm" (Int64.succ (Clock.ns_of_sec 50.)) t
   | None -> Alcotest.fail "no wakeup");
   let outcomes = expire_all env ~after_s:60. in
   Alcotest.(check (list int64)) "only short expired" [ Serial.to_int64 sn_short ]
     (List.map (fun (sn, _) -> Serial.to_int64 sn) outcomes);
   check_verdict "short deleted" "properly-deleted" env sn_short;
   check_verdict "long still valid" "valid-data" env sn_long
+
+let test_rm_expiry_boundary () =
+  (* A record is deletable strictly after its expiry, and the Retention
+     Monitor agrees: at the expiry instant the entry is neither popped
+     nor refused (no wasted delete attempt), the alarm names the next
+     instant, and deletion succeeds there. *)
+  let env = fresh_env () in
+  let sn = write env ~policy:(short_policy ~retention_s:50. ()) () in
+  let expiry =
+    match Vrdt.find (Worm.vrdt env.store) sn with
+    | Some (Vrdt.Active vrd) -> Attr.expiry vrd.Vrd.attr
+    | _ -> Alcotest.fail "record missing"
+  in
+  Clock.advance_to env.clock expiry;
+  Alcotest.(check int) "nothing popped at the expiry instant" 0 (List.length (Worm.expire_due env.store));
+  (match Worm.next_rm_wakeup env.store with
+  | Some t -> Alcotest.(check int64) "alarm at the next instant" (Int64.succ expiry) t
+  | None -> Alcotest.fail "alarm lost");
+  Clock.advance_to env.clock (Int64.succ expiry);
+  (match Worm.expire_due env.store with
+  | [ (sn', Ok ()) ] -> Alcotest.(check int64) "deleted at the next instant" (Serial.to_int64 sn) (Serial.to_int64 sn')
+  | outcomes -> Alcotest.failf "expected one deletion, got %d outcome(s)" (List.length outcomes));
+  check_verdict "deletion proven" "properly-deleted" env sn
 
 let test_deferred_queue_and_strengthen () =
   let env = fresh_env () in
@@ -266,6 +289,7 @@ let suite =
     ("read responses by state", `Quick, test_read_responses_by_state);
     ("expiry shreds data", `Quick, test_expire_due_shreds_data);
     ("RM order and rescheduling", `Quick, test_rm_respects_order_and_reschedules);
+    ("RM expiry boundary", `Quick, test_rm_expiry_boundary);
     ("deferred queue drains", `Quick, test_deferred_queue_and_strengthen);
     ("host-hash audit flow", `Quick, test_host_hash_mode_audit_flow);
     ("strengthen runs audits", `Quick, test_host_hash_weak_strengthen_runs_audit);
