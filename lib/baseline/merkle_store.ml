@@ -65,6 +65,3 @@ let prove t index =
 let verify ~signing_key ~capacity ~data proof =
   Merkle.verify ~root:proof.root ~capacity ~index:proof.index ~leaf_data:data ~proof:proof.path
   && Rsa.verify signing_key ~msg:(root_msg proof.root) ~signature:proof.root_sig
-
-let scpu_hashes_per_update t =
-  if t.appends = 0 then 0. else float_of_int (Device.stats t.device).Device.hash_ops /. float_of_int t.appends

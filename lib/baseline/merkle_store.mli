@@ -38,6 +38,3 @@ val prove : t -> int -> proof option
 val verify :
   signing_key:Worm_crypto.Rsa.public -> capacity:int -> data:string -> proof -> bool
 (** Client-side check: membership path plus SCPU signature on the root. *)
-
-val scpu_hashes_per_update : t -> float
-(** Average device hash operations per append so far. *)

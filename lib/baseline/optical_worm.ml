@@ -43,11 +43,6 @@ let destroy_disc t id =
       t.discs <- List.remove_assoc id t.discs;
       d.used
 
-let records_on_disc t id =
-  match find t id with
-  | Some d -> d.used
-  | None -> 0
-
 let disc_count t = List.length t.discs
 
 let swap_disc t id contents =

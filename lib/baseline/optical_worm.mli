@@ -39,7 +39,6 @@ val destroy_disc : t -> disc_id -> int
     available. Returns how many records (expired or not) were lost with
     it. *)
 
-val records_on_disc : t -> disc_id -> int
 val disc_count : t -> int
 
 val swap_disc : t -> disc_id -> string list -> bool

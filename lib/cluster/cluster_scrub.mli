@@ -20,12 +20,6 @@ type outcome = {
   skipped : int list;  (** shards with no serving store (fenced, no mirror) *)
 }
 
-val scrubbers : ?config:Scrubber.config -> ?pool:Worm_util.Pool.t -> Shard_router.t -> (int * Scrubber.t) list
-(** One scrubber per scrubbable shard, bound to its serving store (with
-    the mirror attached where one is live). Exposed so callers can drive
-    slices on their own schedule; {!run} is the batteries-included
-    driver. *)
-
 val run : ?config:Scrubber.config -> ?pool:Worm_util.Pool.t -> Shard_router.t -> outcome
 (** Round-robin budgeted slices across every scrubbable shard until each
     pass completes, then merge. [merged.pass_complete] is [false] when

@@ -191,7 +191,7 @@ val recover : t -> int -> (recovery, string) result
 
 val kill : t -> int -> unit
 (** Trigger the tamper response on a shard's serving SCPU — the attack /
-    failure-injection entry point for tests, smokes and the console. *)
+    failure-injection entry point for tests and the console. *)
 
 (** {2 Introspection} *)
 

@@ -12,8 +12,6 @@ type role =
   | Scpu_short_term  (** short-lived burst keys (§4.3) *)
   | Regulation_authority  (** litigation-hold credential issuer *)
 
-val role_to_string : role -> string
-
 type t = {
   subject : string;
   role : role;

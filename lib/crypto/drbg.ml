@@ -15,8 +15,6 @@ let create ~seed =
   update t seed;
   t
 
-let reseed t entropy = update t entropy
-
 let generate t n =
   let buf = Buffer.create n in
   while Buffer.length buf < n do

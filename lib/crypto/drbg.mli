@@ -11,15 +11,11 @@ type t
 val create : seed:string -> t
 (** Instantiate from arbitrary seed bytes (personalization included). *)
 
-val reseed : t -> string -> unit
-
 val generate : t -> int -> string
 (** [generate t n] returns [n] fresh pseudorandom bytes. *)
 
 val byte : t -> int
 (** One byte as [0, 255]. *)
-
-val uint64 : t -> int64
 
 val int_below : t -> int -> int
 (** Uniform in [\[0, bound)] by rejection sampling.

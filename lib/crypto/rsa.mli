@@ -15,7 +15,6 @@ val generate : Drbg.t -> bits:int -> secret
     @raise Invalid_argument if [bits < 512] (PKCS#1 padding needs room). *)
 
 val public_of : secret -> public
-val modulus_bytes : public -> int
 
 val sign : secret -> string -> string
 (** [sign key msg] returns the PKCS#1 v1.5 signature over

@@ -114,7 +114,6 @@ val response_wire_length :
 (** Exposed for reuse (e.g. persisting audit evidence, streaming
     encoders). *)
 
-val encode_request_into : Worm_util.Codec.encoder -> request -> unit
 val encode_response_into :
   ?read_response:(Worm_util.Codec.encoder -> Proof.read_response -> unit) ->
   Worm_util.Codec.encoder ->

@@ -120,10 +120,6 @@ let rotate_weak_if_needed t =
     t.stats <- { t.stats with weak_rotations = t.stats.weak_rotations + 1 }
   end
 
-let current_weak_cert t =
-  rotate_weak_if_needed t;
-  (keys t).weak_cert
-
 let sign_strong t msg =
   let k = keys t in
   charge t (Cost_model.rsa_sign_ns t.config.profile ~bits:t.config.strong_bits);
@@ -200,11 +196,6 @@ let charge_hash_only t ~bytes =
   ignore (keys t);
   charge t (Cost_model.hash_ns t.config.profile ~bytes);
   t.stats <- { t.stats with hash_ops = t.stats.hash_ops + 1; hash_bytes = t.stats.hash_bytes + bytes }
-
-let charge_sign_strong_only t =
-  ignore (keys t);
-  charge t (Cost_model.rsa_sign_ns t.config.profile ~bits:t.config.strong_bits);
-  t.stats <- { t.stats with strong_signs = t.stats.strong_signs + 1 }
 
 let busy_ns t = t.busy_ns
 let reset_busy t = t.busy_ns <- 0L

@@ -68,12 +68,6 @@ val random : t -> int -> string
 val signing_cert : t -> Worm_crypto.Cert.t
 val deletion_cert : t -> Worm_crypto.Cert.t
 
-val current_weak_cert : t -> Worm_crypto.Cert.t
-(** Certificate of the active short-lived key, chained under the
-    signing key s (verify it with the signing cert's public key). The
-    device rotates weak keys when their lifetime lapses; fresh keys are
-    prepared during idle periods so rotation charges no busy time. *)
-
 (** {2 Signing services} *)
 
 val sign_strong : t -> string -> string
@@ -117,10 +111,6 @@ val charge_rsa_verify : t -> bits:int -> unit
 val charge_hash_only : t -> bytes:int -> unit
 (** Charge one on-device hash pass over [bytes] without computing it
     (the firmware hashes with its own incremental constructions). *)
-
-val charge_sign_strong_only : t -> unit
-(** Charge a strong signature's cost without performing one (used by the
-    simulator's fast path; keeps ledgers comparable). *)
 
 val busy_ns : t -> int64
 val reset_busy : t -> unit

@@ -26,9 +26,6 @@ val mode_strong_scpu_hash : mode
 val mode_strong_host_hash : mode
 (** Sustained with host-side hashing (§4.2.2's weaker trust model). *)
 
-val mode_weak_scpu_hash : mode
-(** Burst: deferred 512-bit signatures, SCPU hashing. *)
-
 val mode_weak_host_hash : mode
 (** Burst: deferred 512-bit signatures + host hashing — the paper's
     2000–2500 records/s headline regime. *)
@@ -140,22 +137,6 @@ val read_mix : env -> ?ops:int -> record_bytes:int -> unit -> read_mix_row list
     read queries". Sweeps the write fraction from read-only to
     write-only; SCPU cost per operation scales with the write fraction
     and a read-heavy store runs at disk speed. *)
-
-type scaling_row = {
-  scpus : int;
-  aggregate_rps : float;
-  speedup : float;  (** relative to one SCPU *)
-  scaling_bottleneck : string;
-}
-
-val multi_scpu_scaling :
-  ?strong_bits:int -> ?record_bytes:int -> ?records:int -> seed:string -> scpus_list:int list -> unit -> scaling_row list
-(** §5: "These results naturally scale if multiple SCPUs are available."
-    Round-robin record ingest across k SCPU-backed stores, each with its
-    own disk, all sharing one host CPU; aggregate throughput is limited
-    by the busiest resource. This is a projection (k stores driven in a
-    plain loop, host cost summed); {!cluster_scaling} is the measured
-    counterpart that drives a real {!Worm_cluster.Shard_router}. *)
 
 type cluster_shard_row = {
   cs_shard : int;
@@ -332,8 +313,6 @@ val remote_fault_tolerance :
     [fault_verdicts_match = true]: injected faults may only cost wire
     time and retries, never change what the audit concludes. *)
 
-val pp_fault_row : Format.formatter -> fault_row -> unit
-
 type latency_summary = { p50_ms : float; p95_ms : float; p99_ms : float; mean_ms : float; max_ms : float }
 
 type multi_client_result = {
@@ -386,12 +365,9 @@ val multi_client :
     read-after-write verified with the real client verifier.
     Deterministic in [seed]. *)
 
-val pp_latency : Format.formatter -> latency_summary -> unit
 val pp_multi_client : Format.formatter -> multi_client_result -> unit
 
 type table2_row = { operation : string; scpu : string; host : string }
 
 val table2 : ?profile:Worm_scpu.Cost_model.profile -> ?host:Worm_scpu.Cost_model.profile -> unit -> table2_row list
 (** Regenerate Table 2 from the calibrated cost models. *)
-
-val pp_measurement : Format.formatter -> measurement -> unit

@@ -5,8 +5,7 @@
    way and can hand out [(string, pos, len)] slices instead of
    [String.sub] copies. Encodings are canonical and signed — the byte
    format here must stay bit-identical to test/support/ref_codec.ml,
-   the retained seed codec that tests and the wire smoke compare
-   against. *)
+   the retained seed codec that the tests compare against. *)
 
 type encoder = { mutable buf : Bytes.t; mutable len : int }
 
@@ -235,4 +234,3 @@ let run_decoder dec d =
   | exception Malformed msg -> Error ("malformed input: " ^ msg)
 
 let decode dec s = run_decoder dec (decoder s)
-let decode_sub dec s ~pos ~len = run_decoder dec (decoder_sub s ~pos ~len)

@@ -122,6 +122,3 @@ val encoded_length : (encoder -> 'a -> unit) -> 'a -> int
 
 val decode : (decoder -> 'a) -> string -> ('a, string) result
 (** [decode dec s] runs [dec], requiring all input to be consumed. *)
-
-val decode_sub : (decoder -> 'a) -> string -> pos:int -> len:int -> ('a, string) result
-(** {!decode} over a window of [s], no copy. *)

@@ -17,22 +17,12 @@ let figure1_sizes = [ 1024; 2048; 4096; 8192; 16384; 32768; 65536; 131072; 26214
 
 type op = Write of { blocks : string list; policy : Policy.t } | Read of int
 
-let write_burst rng ~records ~record_bytes ~policy =
-  List.init records (fun _ -> Write { blocks = record rng ~bytes:record_bytes; policy })
-
 let mixed_trace rng ~ops ~write_fraction ~record_bytes ~policy =
   if write_fraction < 0. || write_fraction > 1. then invalid_arg "Workload.mixed_trace: bad fraction";
   let threshold = int_of_float (write_fraction *. 1000.) in
   List.init ops (fun _ ->
       if Drbg.int_below rng 1000 < threshold then Write { blocks = record rng ~bytes:record_bytes; policy }
       else Read (Drbg.int_below rng max_int))
-
-let all_regulations =
-  Policy.[ Sec17a4; Hipaa; Sox; Dod5015_2; Ferpa; Glba; Fda21cfr11 ]
-
-let retention_mix rng ~now:_ ~n =
-  List.init n (fun _ ->
-      Policy.of_regulation (List.nth all_regulations (Drbg.int_below rng (List.length all_regulations))))
 
 let short_retention_mix rng ~min_ns ~max_ns ~n =
   if Int64.compare max_ns min_ns < 0 then invalid_arg "Workload.short_retention_mix: empty range";

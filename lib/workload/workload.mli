@@ -20,8 +20,6 @@ type op =
   | Write of { blocks : string list; policy : Worm_core.Policy.t }
   | Read of int  (** index into previously written records (modulo) *)
 
-val write_burst : Worm_crypto.Drbg.t -> records:int -> record_bytes:int -> policy:Worm_core.Policy.t -> op list
-
 val mixed_trace :
   Worm_crypto.Drbg.t ->
   ops:int ->
@@ -30,10 +28,6 @@ val mixed_trace :
   policy:Worm_core.Policy.t ->
   op list
 (** Reads address uniformly random previously written records. *)
-
-val retention_mix : Worm_crypto.Drbg.t -> now:int64 -> n:int -> Worm_core.Policy.t list
-(** [n] policies drawn across the named regulations, yielding expiry
-    times far out of insertion order. *)
 
 val short_retention_mix : Worm_crypto.Drbg.t -> min_ns:int64 -> max_ns:int64 -> n:int -> Worm_core.Policy.t list
 (** Custom policies with uniform retention in [\[min_ns, max_ns\]] —

@@ -2,8 +2,8 @@
    retained verbatim as a byte-identity oracle (the `ref_hash.ml`
    pattern). The production codec was rebuilt around a preallocated
    [Bytes] core with unsafe big-endian word writes and pooled encoders;
-   encodings are canonical and signed, so tests and the wire smoke
-   compare every encoding produced by the new codec against this one.
+   encodings are canonical and signed, so the tests compare every
+   encoding produced by the new codec against this one.
    Do not "improve" this module — its value is that it never changes. *)
 
 type encoder = Buffer.t

@@ -208,11 +208,24 @@ let test_epoch_coherence_across_shard_compactions () =
 let test_kill_fence_recover_rescrub () =
   let router, clock = fresh_router ~shards:2 ~mirrored:true () in
   let records = 8 in
-  let before =
-    let sns = List.init records (fun i -> write_exn router [ Printf.sprintf "r%d" i ]) in
+  let sns = List.init records (fun i -> write_exn router [ Printf.sprintf "r%d" i ]) in
+  Alcotest.(check (list int)) "global serials are dense" (List.init records succ) (List.map Serial.to_int sns);
+  let read_all () =
     let verifiers = Router.verifiers router in
     List.map (fun g -> fp (Router.verify_read router verifiers g (Router.read router g))) sns
   in
+  let before = read_all () in
+  Alcotest.(check bool) "every routed read verifies" true
+    (List.for_all (fun v -> String.length v > 6 && String.sub v 0 6 = "valid:") before);
+  let scrub_clean label =
+    let outcome = Cluster_scrub.run router in
+    Alcotest.(check (list int)) (label ^ ": scrub covers every shard") [] outcome.Cluster_scrub.skipped;
+    Alcotest.(check bool) (label ^ ": scrub completes") true outcome.Cluster_scrub.merged.Report.pass_complete;
+    Alcotest.(check int) (label ^ ": scrub is clean") 0 (List.length outcome.Cluster_scrub.merged.Report.findings);
+    Alcotest.(check bool) (label ^ ": scrub scanned the global space") true
+      (outcome.Cluster_scrub.merged.Report.records_scanned >= records)
+  in
+  scrub_clean "pre-failover";
   Router.kill router 1;
   Alcotest.(check (list int)) "probe names the dead shard" [ 1 ] (Router.probe router);
   (match Router.fence router 1 with Ok () -> () | Error e -> Alcotest.fail e);
@@ -220,19 +233,27 @@ let test_kill_fence_recover_rescrub () =
     (match Router.write router ~policy:(short_policy ()) ~blocks:[ "x" ] with
     | Error _ -> true
     | Ok sn -> Partition.shard_of ~shards:2 sn <> 1);
+  Alcotest.(check (list string)) "fenced reads stay identical off the mirror" before (read_all ());
   (match Router.recover router 1 with
-  | Ok r -> Alcotest.(check int) "resync rebuilt the stripe" (records / 2) r.Router.resynced
+  | Ok r ->
+      Alcotest.(check int) "resync rebuilt the stripe" (records / 2) r.Router.resynced;
+      Alcotest.(check bool) "replacement mirror is a fresh SCPU" true (r.Router.new_mirror_id <> "")
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "shard active again" true (Router.shard_state router 1 = Router.Active);
-  let after =
-    let verifiers = Router.verifiers router in
-    List.map
-      (fun i ->
-        let g = Serial.of_int (i + 1) in
-        fp (Router.verify_read router verifiers g (Router.read router g)))
-      (List.init records Fun.id)
-  in
-  Alcotest.(check (list string)) "promoted store serves identical content" before after;
+  Alcotest.(check (list string)) "promoted store serves identical content" before (read_all ());
+  (* global 9 landed on the live shard while 1 was fenced; 10 is the
+     promoted store's *)
+  let resumed = write_exn router [ "post-failover" ] in
+  Alcotest.(check int) "ingest resumes on the promoted store" (records + 2) (Serial.to_int resumed);
+  Alcotest.(check int) "on the recovered shard" 1 (Partition.shard_of ~shards:2 resumed);
+  let proof = proof_exn router in
+  (match Cluster_proof.verify ~ca:(ca_pub ()) ~now:(Clock.now clock) proof with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("post-failover proof: " ^ e));
+  (match Cluster_proof.global_current proof with
+  | Ok g -> Alcotest.(check int) "post-failover global bound" (records + 2) (Serial.to_int g)
+  | Error e -> Alcotest.fail e);
+  scrub_clean "post-failover";
   (* the rebuilt mirror holds fresh serials: a second zeroization of the
      same shard is outside the verified contract and must say so *)
   Router.kill router 1;
@@ -240,9 +261,8 @@ let test_kill_fence_recover_rescrub () =
   (match Router.recover router 1 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "second failover of a rebuilt mirror must be refused");
-  ignore clock;
   (* scrub-ability after the *first* failover is the part the cluster
-     guarantees; rebuild a healthy router state for it *)
+     guarantees; check it once more with shard 0 as the failed one *)
   let router2, _ = fresh_router ~shards:2 ~mirrored:true () in
   for i = 1 to records do
     ignore (write_exn router2 [ Printf.sprintf "s%d" i ])

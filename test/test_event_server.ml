@@ -236,7 +236,8 @@ let test_multi_client_convergence () =
   Alcotest.(check int) "every read-after-write verified" r.Sim.mc_clients r.Sim.mc_reads_ok;
   Alcotest.(check bool) "verdict fingerprint identical to sequential" true r.Sim.mc_fingerprint_match;
   Alcotest.(check bool) "batching reduced signing invocations" true
-    (r.Sim.mc_sign_calls < r.Sim.mc_baseline_sign_calls)
+    (r.Sim.mc_sign_calls < r.Sim.mc_baseline_sign_calls);
+  Alcotest.(check bool) "virtual tail latency is populated" true (r.Sim.mc_write_latency.Sim.p99_ms > 0.)
 
 (* ---------- SN_current is signed only where a reply carries it ---------- *)
 

@@ -165,6 +165,43 @@ let prop_matches_reference =
       String.equal (Sha256.digest s) (Worm_testkit.Ref_hash.Sha256.digest s)
       && String.equal (Sha1.digest s) (Worm_testkit.Ref_hash.Sha1.digest s))
 
+(* Seeded random inputs against the reference core: streaming feed_sub
+   splits at odd offsets, digest_sub windows, digest_parts over multi-
+   block parts, and multi-buffer hashing sequential and over a pool. *)
+let test_reference_agreement () =
+  let module Ref256 = Worm_testkit.Ref_hash.Sha256 in
+  let module Ref1 = Worm_testkit.Ref_hash.Sha1 in
+  let rng = Drbg.create ~seed:"hash-reference-agreement" in
+  for round = 1 to 100 do
+    let len = Drbg.int_below rng 1500 in
+    let s = Drbg.generate rng len in
+    let ctx256 = Sha256.init () in
+    let ctx1 = Sha1.init () in
+    let pos = ref 0 in
+    while !pos < len do
+      let n = min (1 + Drbg.int_below rng 131) (len - !pos) in
+      Sha256.feed_sub ctx256 s ~pos:!pos ~len:n;
+      Sha1.feed_sub ctx1 s ~pos:!pos ~len:n;
+      pos := !pos + n
+    done;
+    Alcotest.(check string) (Printf.sprintf "sha256 split #%d" round) (Ref256.digest s) (Sha256.get ctx256);
+    Alcotest.(check string) (Printf.sprintf "sha1 split #%d" round) (Ref1.digest s) (Sha1.get ctx1);
+    let pos = if len = 0 then 0 else Drbg.int_below rng len in
+    Alcotest.(check string)
+      (Printf.sprintf "digest_sub #%d" round)
+      (Ref256.digest (String.sub s pos (len - pos)))
+      (Sha256.digest_sub s ~pos ~len:(len - pos))
+  done;
+  let parts = [ Drbg.generate rng 4096; "\x00"; "k0"; ""; Drbg.generate rng 777 ] in
+  Alcotest.(check string) "digest_parts = reference of the concatenation"
+    (Ref256.digest (String.concat "" parts))
+    (Sha256.digest_parts parts);
+  let inputs = Array.init 64 (fun i -> Drbg.generate rng (i * 37)) in
+  let expected = Array.map Ref256.digest inputs in
+  Alcotest.(check bool) "digest_many sequential" true (Sha256.digest_many inputs = expected);
+  Worm_util.Pool.with_pool ~domains:2 (fun pool ->
+      Alcotest.(check bool) "digest_many pooled" true (Sha256.digest_many ~pool inputs = expected))
+
 let prop_digest_many_is_map =
   QCheck.Test.make ~name:"digest_many = map digest" ~count:50
     QCheck.(small_list string)
@@ -304,6 +341,7 @@ let suite =
     ("feed_sub odd splits", `Quick, test_feed_sub_odd_splits);
     ("feed_sub bounds", `Quick, test_feed_sub_bounds);
     ("digest_sub / digest_into", `Quick, test_digest_sub_and_into);
+    ("odd-offset splits and multi-buffer match reference", `Quick, test_reference_agreement);
     ("hmac-sha256 RFC vectors", `Quick, test_hmac_sha256_vectors);
     ("hmac-sha1 RFC vectors", `Quick, test_hmac_sha1_vectors);
     ("hmac verify", `Quick, test_hmac_verify);

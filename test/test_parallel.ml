@@ -170,8 +170,9 @@ let test_parallel_verify_identical () =
   let items = adversarial_items env in
   let sequential_client = Client.for_store ~ca:(ca_pub ()) ~clock:env.clock ~verify_cache:0 env.store in
   let reference = List.map (fun (sn, r) -> (sn, Client.verify_read sequential_client ~sn r)) items in
-  Alcotest.(check bool) "reference includes violations" true
-    (List.exists (fun (_, v) -> match v with Client.Violation _ -> true | _ -> false) reference);
+  (* every proof shape verifies clean; only the two tampered records flag *)
+  Alcotest.(check int) "violations exactly at the tampered records" 2
+    (List.length (List.filter (fun (_, v) -> match v with Client.Violation _ -> true | _ -> false) reference));
   let check name verdicts = Alcotest.(check bool) name true (verdicts = reference) in
   check "verify_read_many without pool" (Client.verify_read_many sequential_client items);
   check "cached client, no pool" (Client.verify_read_many env.client items);
@@ -185,6 +186,10 @@ let test_parallel_verify_identical () =
           check
             (Printf.sprintf "pooled x%d, cache warm" domains)
             (Client.verify_read_many ~pool cached items);
+          Alcotest.(check bool)
+            (Printf.sprintf "pooled x%d, absence proofs hit the cache" domains)
+            true
+            (match Client.verify_cache_stats cached with Some st -> st.Client.cache_hits > 0 | None -> false);
           check
             (Printf.sprintf "pooled x%d, cache disabled" domains)
             (Client.verify_read_many ~pool sequential_client items)))

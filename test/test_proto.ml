@@ -30,12 +30,17 @@ let test_request_codec () =
       Message.Read (Serial.of_int 42);
       Message.Read_many [ Serial.of_int 1; Serial.of_int 2 ];
       Message.Audit_slice { cursor = Serial.of_int 9; max = 64 };
+      Message.Write { policy = short_policy (); tenant = ""; blocks = [ "payload"; "" ] };
     ]
   in
   List.iter
     (fun r ->
-      match Message.decode_request (Message.encode_request r) with
-      | Ok r' -> Alcotest.(check bool) "roundtrip" true (r = r')
+      let bytes = Message.encode_request r in
+      Alcotest.(check int) "wire length" (String.length bytes) (Message.request_wire_length r);
+      match Message.decode_request bytes with
+      | Ok r' ->
+          Alcotest.(check bool) "roundtrip" true (r = r');
+          Alcotest.(check string) "canonical re-encoding" bytes (Message.encode_request r')
       | Error e -> Alcotest.fail e)
     cases;
   match Message.decode_request "\xff" with
@@ -147,7 +152,13 @@ let test_remote_full_audit_honest () =
   Alcotest.(check int) "no violations" 0 (List.length audit.Remote_client.violations);
   Alcotest.(check int) "live region scanned" 3 audit.Remote_client.scanned;
   Alcotest.(check int64) "below-base region skipped" 4L audit.Remote_client.skipped_below_base;
-  Alcotest.(check bool) "batched, not per-record" true (audit.Remote_client.round_trips <= 4)
+  Alcotest.(check bool) "batched, not per-record" true (audit.Remote_client.round_trips <= 4);
+  (* the same audit through the simulated network, run to completion *)
+  let net = Worm_proto.Netsim.create () in
+  let rc = connect_exn ~netsim:net env (Worm_proto.Netsim.wrap net transport) in
+  let audit = Remote_client.run_remote_audit_to_completion rc in
+  Alcotest.(check bool) "complete over netsim" true (audit.Remote_client.resume = None);
+  Alcotest.(check int) "clean over netsim" 0 (List.length audit.Remote_client.violations)
 
 let test_remote_audit_covers_writes_past_bound () =
   (* Theorem 2 under the request-scoped refresh: reads of live records
@@ -518,7 +529,32 @@ let test_encode_memo_identity_and_invalidation () =
     | _ -> Alcotest.fail "expected an unallocated proof"
   in
   Alcotest.(check bool) "re-signed bound is served, not the cached one" true
-    (Int64.compare b2.Firmware.timestamp b1.Firmware.timestamp > 0)
+    (Int64.compare b2.Firmware.timestamp b1.Firmware.timestamp > 0);
+  (* every reply class, memo cold then warm, equals the memo-free bytes *)
+  let env = fresh_env () in
+  let server = Server.create env.store in
+  let live = write env ~policy:(short_policy ~retention_s:10_000. ()) () in
+  let gone = write_n env ~retention_s:10. 3 in
+  ignore (expire_all env ~after_s:20.);
+  Worm.idle_tick env.store;
+  Server.refresh server;
+  List.iter
+    (fun request ->
+      let name = Message.describe_request request in
+      let response = Server.handle server request in
+      let plain = Message.encode_response response in
+      Alcotest.(check string) (name ^ ": memo cold") plain (Server.encode_response server response);
+      Alcotest.(check string) (name ^ ": memo warm") plain (Server.encode_response server response);
+      Alcotest.(check int) (name ^ ": wire length") (String.length plain) (Server.response_wire_length server response);
+      Alcotest.(check string) (name ^ ": canonical") plain (Message.encode_response (decode_response_exn plain)))
+    [
+      Message.Hello;
+      Message.Read live;
+      Message.Read (List.hd gone);
+      Message.Read (Serial.of_int 50);
+      Message.Read_many (Serial.range Serial.first (Serial.of_int 5));
+      Message.Audit_slice { cursor = Serial.first; max = 64 };
+    ]
 
 let suite =
   [

@@ -106,11 +106,22 @@ let test_exhausted_retries_degrade_to_verdict () =
           | v -> Alcotest.fail ("sweep row: " ^ Client.verdict_name v))
         results
   | exception e -> Alcotest.fail ("sweep raised: " ^ Printexc.to_string e));
+  (match Remote_client.run_remote_audit rc with
+  | a ->
+      Alcotest.(check bool) "audit: resumable from the start, nothing flagged" true
+        (a.Remote_client.resume = Some Serial.first && a.Remote_client.violations = [])
+  | exception e -> Alcotest.fail ("audit raised: " ^ Printexc.to_string e));
   let stats = Remote_client.transport_stats rc in
   Alcotest.(check bool) "every retry actually attempted" true
     (stats.Remote_client.attempts > stats.Remote_client.requests);
   Alcotest.(check bool) "timeout + backoff wait charged" true
-    (Int64.compare stats.Remote_client.waited_ns 0L > 0)
+    (Int64.compare stats.Remote_client.waited_ns 0L > 0);
+  (* a wire that swallows everything, handshake included *)
+  let dead = Faulty.create ~seed:"exhausted|dead" ~faults:[ Faulty.Drop 1.0 ] honest in
+  match Remote_client.connect ~ca:(ca_pub ()) ~clock:env.clock (Faulty.transport dead) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "connected over a dead wire"
+  | exception e -> Alcotest.fail ("connect raised: " ^ Printexc.to_string e)
 
 let test_backoff_grows_and_is_virtual () =
   let env, honest, _, _ = proof_shape_env () in

@@ -164,6 +164,36 @@ let prop_codec_matches_ref_decode =
       | Ok a, Ok b -> a = v && b = v
       | _ -> false)
 
+(* The fixed-width words the composite value does not carry. *)
+let prop_words_match_ref =
+  let gen = QCheck.(quad (int_bound 0xff) (int_bound 0xffff) (int_bound 0xffffffff) int64) in
+  QCheck.Test.make ~name:"fixed-width words match ref codec both ways" ~count:300 gen (fun (a, b, c, d) ->
+      let bytes =
+        Ref.encode
+          (fun e () ->
+            Ref.u8 e a;
+            Ref.u16 e b;
+            Ref.u32 e c;
+            Ref.u64 e d)
+          ()
+      in
+      let ours =
+        Codec.encode
+          (fun e () ->
+            Codec.u8 e a;
+            Codec.u16 e b;
+            Codec.u32 e c;
+            Codec.u64 e d)
+          ()
+      in
+      let read dec =
+        let a = Codec.read_u8 dec in
+        let b = Codec.read_u16 dec in
+        let c = Codec.read_u32 dec in
+        (a, b, c, Codec.read_u64 dec)
+      in
+      String.equal ours bytes && Codec.decode read bytes = Ok (a, b, c, d))
+
 (* ---------- slice decoder bounds ---------- *)
 
 let test_decoder_sub_bounds () =
@@ -259,6 +289,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_codec_random_bytes_never_crash;
     QCheck_alcotest.to_alcotest prop_codec_matches_ref_encode;
     QCheck_alcotest.to_alcotest prop_codec_matches_ref_decode;
+    QCheck_alcotest.to_alcotest prop_words_match_ref;
   ]
 
 let () = Alcotest.run "worm_util" [ ("util", suite) ]
