@@ -6,7 +6,8 @@ module Lru = Worm_util.Lru
 type freshness = Timestamped of int64 | Direct_scpu of (unit -> Firmware.current_bound)
 
 (* Memo of verified epoch-stable signatures (current bound, base bound,
-   deletion windows, per-SN deletion proofs). Keyed by the exact
+   deletion windows, per-SN deletion proofs, short-term key
+   certificates). Keyed by the exact
    (key fingerprint, msg, signature) triple, so a cached verdict can
    never be wrong — a refreshed bound or a re-signed proof has a
    different message or signature and simply misses. Mutex-guarded: one
@@ -104,8 +105,9 @@ let memo_key ~fp ~msg ~signature =
     ()
 
 (* Verify through the memo. Only used for signatures that are stable
-   for a whole refresh epoch — never for per-record witnesses, whose
-   working set would thrash the small LRU for no gain. *)
+   for a whole refresh epoch or a short-term key's lifetime — never for
+   per-record witnesses, whose working set would thrash the small LRU
+   for no gain. *)
 let stable_verify t ~fp key ~msg ~signature =
   match t.cache with
   | None -> Rsa.verify key ~msg ~signature
@@ -185,10 +187,14 @@ let check_witness t msg = function
   | Witness.Weak { cert; signature } ->
       (* Short-lived key: chained under the signing key, honored only
          within its lifetime (after which it must have been
-         strengthened, so encountering it live is itself suspect). *)
+         strengthened, so encountering it live is itself suspect). The
+         window and role are checked on every call; the certificate's
+         signature, the same for every record the key witnessed, goes
+         through the memo. *)
       if
-        Cert.verify ~ca:t.signing ~now:(Clock.now t.clock) cert
+        Cert.valid_at ~now:(Clock.now t.clock) cert
         && cert.Cert.role = Cert.Scpu_short_term
+        && verify_signing_stable t ~msg:(Cert.body_bytes cert) ~signature:cert.Cert.signature
         && Rsa.verify cert.Cert.key ~msg ~signature
       then Ok true
       else Error ()

@@ -43,10 +43,8 @@ let issue ~ca ~subject ~role ~key ~not_before ~not_after =
   let unsigned = { subject; role; key; not_before; not_after; signature = "" } in
   { unsigned with signature = Rsa.sign ca (body_bytes unsigned) }
 
-let verify ~ca ~now t =
-  Int64.compare t.not_before now <= 0
-  && Int64.compare now t.not_after <= 0
-  && Rsa.verify ca ~msg:(body_bytes t) ~signature:t.signature
+let valid_at ~now t = Int64.compare t.not_before now <= 0 && Int64.compare now t.not_after <= 0
+let verify ~ca ~now t = valid_at ~now t && Rsa.verify ca ~msg:(body_bytes t) ~signature:t.signature
 
 let encode enc t =
   encode_body enc (t.subject, t.role, t.key, t.not_before, t.not_after);

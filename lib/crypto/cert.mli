@@ -27,6 +27,14 @@ val issue :
 val verify : ca:Rsa.public -> now:int64 -> t -> bool
 (** Checks the CA signature and the validity window. *)
 
+val valid_at : now:int64 -> t -> bool
+(** The validity-window half of {!verify}: [not_before <= now <= not_after]. *)
+
+val body_bytes : t -> string
+(** The canonical body the CA signs: every field but [signature]. With
+    {!valid_at}, lets a verifier memoize the signature check of a
+    certificate it meets many times. *)
+
 val encode : Worm_util.Codec.encoder -> t -> unit
 
 val encoded_size : t -> int

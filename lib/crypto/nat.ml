@@ -1,12 +1,13 @@
-(* Little-endian arrays of limbs in base 2^31. The invariant throughout is
+(* Little-endian arrays of limbs in base 2^27. The invariant throughout is
    that values are canonical: the top limb is nonzero (zero is [||]).
-   Base 2^31 keeps every intermediate product a*b + c + d within OCaml's
-   63-bit native int: (2^31-1)^2 + 2*(2^31-1) = 2^62 - 1 = max_int. *)
+   Base 2^27 keeps a limb product below 2^54, so the Montgomery kernel
+   below can sum a whole column of products in one 63-bit native int
+   before splitting off its carry (see "Column bound"). *)
 
 type t = int array
 
-let base_bits = 31
-let base_mask = 0x7FFFFFFF
+let base_bits = 27
+let base_mask = 0x7FFFFFF
 
 let zero : t = [||]
 let is_zero (a : t) = Array.length a = 0
@@ -30,7 +31,7 @@ let one = of_int 1
 let two = of_int 2
 
 let to_int_opt (a : t) =
-  (* max_int is 62 bits: at most three limbs with a one-bit top limb. *)
+  (* max_int is 62 bits: at most three limbs with an 8-bit top limb. *)
   let n = Array.length a in
   if n = 0 then Some 0
   else if n > 3 then None
@@ -211,6 +212,16 @@ let divmod (a : t) (b : t) =
 let div a b = fst (divmod a b)
 let modulo a b = snd (divmod a b)
 
+(* Horner over the limbs, most significant first: r < d <= 2^32 keeps
+   r * 2^27 + limb below 2^60. *)
+let rem_int (a : t) d =
+  if d <= 0 || d > 1 lsl 32 then invalid_arg "Nat.rem_int: divisor out of range";
+  let r = ref 0 in
+  for i = Array.length a - 1 downto 0 do
+    r := ((!r lsl base_bits) lor a.(i)) mod d
+  done;
+  !r
+
 let rec gcd a b = if is_zero b then a else gcd b (modulo a b)
 
 (* Signed values for the extended Euclid coefficient: (negative?, magnitude). *)
@@ -245,32 +256,157 @@ let mod_inverse a m =
     go m a (false, zero) (false, one)
   end
 
-(* Montgomery arithmetic for odd moduli. Values inside the domain are
-   kept as fixed-width [limbs]-length arrays (< m, not canonicalized) so
-   the inner loops never allocate: a context carries two preallocated
-   scratch buffers that every multiply/square/reduce runs through. A
-   context is therefore NOT reentrant — one modular exponentiation at a
-   time per context — which is fine for this single-threaded codebase
-   and lets callers cache contexts per key for the signing hot path. *)
+(* Montgomery arithmetic for odd moduli, in product-scanning (FIPS)
+   form. Values inside the domain are fixed-width [limbs]-length arrays
+   (< m, not canonicalized). [mont_mul] produces a*b/R mod m one column
+   at a time: column k sums every operand product a_i*b_j and every
+   reduction product u_i*m_j with i + j = k, so the carry is split off
+   once per column instead of once per product. Squaring is the same
+   multiply: a dedicated squaring skips a quarter of the products but
+   needs a second triangular loop per column, and at RSA sizes the loop
+   overhead costs more than the products it saves.
+
+   Column bound. A limb product is below 2^54, and a column of an
+   n-limb multiply holds up to 2n of them plus the carry in. Held in one
+   native int, that passes max_int once n reaches about 120 limbs
+   (~3,200-bit moduli). So a column sum is kept as t + c*2^27, and t is
+   folded into c after every [fold] = 64 inner-loop steps. A step adds
+   two limb products, so between folds t grows by less than
+   128 * 2^54 = 2^61 and stays below 2^62 whatever the modulus width.
+   At RSA sizes (19 limbs for a 512-bit CRT prime, 38 for a 1024-bit
+   modulus, 76 for 2048) a column has at most one fold.
+
+   A context carries the reduction digits [u] as scratch, so it is NOT
+   reentrant: one operation at a time per context ([mont_clone] gives
+   each domain its own). *)
 type mont = {
   m : t;  (* modulus, canonical: exactly [limbs] limbs, top nonzero *)
-  n0' : int;  (* -m^-1 mod 2^31 *)
+  n0' : int;  (* -m^-1 mod 2^27 *)
   r2 : int array;  (* R^2 mod m, fixed width *)
   one_m : int array;  (* R mod m: Montgomery form of 1, fixed width *)
   limbs : int;
-  tmp : int array;  (* limbs + 2: CIOS accumulator *)
-  sq : int array;  (* 2*limbs + 1: squaring / plain-reduction buffer *)
+  u : int array;  (* reduction digits of the product in flight *)
 }
 
 let mont_modulus ctx = ctx.m
 
-(* Fresh scratch over the same precomputed constants. The immutable
-   fields (m, n0', r2, one_m) are shared — only tmp/sq are per-clone —
-   so cloning costs two small allocations instead of the division
-   mont_init pays for R^2 mod m. This is what makes a shared context
-   cache domain-safe: one master per modulus, one clone per domain. *)
-let mont_clone ctx =
-  { ctx with tmp = Array.make (ctx.limbs + 2) 0; sq = Array.make ((2 * ctx.limbs) + 1) 0 }
+(* Fresh scratch over the same precomputed constants: one allocation,
+   so a shared context cache can hand each domain its own clone. *)
+let mont_clone ctx = { ctx with u = Array.make ctx.limbs 0 }
+
+let fold = 64
+
+(* x <- x - m when top*R + x >= m, for a value below 2m held as [limbs]
+   limbs plus a top limb of 0 or 1. *)
+let sub_if_ge ctx (x : int array) top =
+  let m = ctx.m in
+  let i = ref (ctx.limbs - 1) in
+  while !i > 0 && x.(!i) = m.(!i) do
+    decr i
+  done;
+  if top > 0 || x.(!i) >= m.(!i) then begin
+    let borrow = ref 0 in
+    for i = 0 to ctx.limbs - 1 do
+      let d = x.(i) - m.(i) - !borrow in
+      x.(i) <- d land base_mask;
+      borrow := (d asr base_bits) land 1
+    done
+  end
+
+(* dst <- a + b mod m, for a, b < m. *)
+let mod_add ctx (dst : int array) (a : int array) (b : int array) =
+  let c = ref 0 in
+  for i = 0 to ctx.limbs - 1 do
+    let s = a.(i) + b.(i) + !c in
+    dst.(i) <- s land base_mask;
+    c := s lsr base_bits
+  done;
+  sub_if_ge ctx dst !c
+
+(* dst <- a*b/R mod m, for a < R and b < m (or the other way round), so
+   the column sums end below 2m and one subtraction finishes. Column k
+   >= n writes limb k - n of dst after its last read of a and b below
+   index k - n + 1, so dst may alias either operand (squaring passes
+   the same array three times). Columns of more than [fold] pairs fold
+   t into c between segments; shorter ones, every column at RSA sizes,
+   run one loop with no fold. *)
+let mont_mul ctx (dst : int array) (a : int array) (b : int array) =
+  let n = ctx.limbs and m = ctx.m and u = ctx.u in
+  let t = ref 0 and c = ref 0 in
+  for k = 0 to (2 * n) - 1 do
+    let hi = if k < n then k else n in
+    let i = ref (if k < n then 0 else k - n + 1) in
+    while hi - !i > fold do
+      for j = !i to !i + fold - 1 do
+        t :=
+          !t
+          + (Array.unsafe_get a j * Array.unsafe_get b (k - j))
+          + (Array.unsafe_get u j * Array.unsafe_get m (k - j))
+      done;
+      c := !c + (!t lsr base_bits);
+      t := !t land base_mask;
+      i := !i + fold
+    done;
+    for j = !i to hi - 1 do
+      t :=
+        !t
+        + (Array.unsafe_get a j * Array.unsafe_get b (k - j))
+        + (Array.unsafe_get u j * Array.unsafe_get m (k - j))
+    done;
+    if k < n then begin
+      t := !t + (Array.unsafe_get a k * Array.unsafe_get b 0);
+      let uk = (!t * ctx.n0') land base_mask in
+      Array.unsafe_set u k uk;
+      t := !t + (uk * Array.unsafe_get m 0)
+    end
+    else Array.unsafe_set dst (k - n) (!t land base_mask);
+    t := (!t lsr base_bits) + !c;
+    c := 0
+  done;
+  sub_if_ge ctx dst !t
+
+(* acc <- base_m^exp, both in Montgomery form; acc must not alias
+   base_m. Fixed 4-bit windows: 4 squarings plus at most one table
+   multiply per window, a ~17% multiply saving over binary
+   square-and-multiply at RSA sizes. The 16-entry table costs 14 extra
+   multiplies up front, well repaid beyond ~128-bit exponents; short
+   exponents take the binary path. *)
+let mont_pow ctx (acc : int array) (base_m : int array) exp =
+  let n = ctx.limbs in
+  let nbits = bit_length exp in
+  if nbits <= 128 then begin
+    Array.blit ctx.one_m 0 acc 0 n;
+    for i = nbits - 1 downto 0 do
+      mont_mul ctx acc acc acc;
+      if test_bit exp i then mont_mul ctx acc acc base_m
+    done
+  end
+  else begin
+    let table = Array.init 16 (fun _ -> Array.make n 0) in
+    Array.blit ctx.one_m 0 table.(0) 0 n;
+    Array.blit base_m 0 table.(1) 0 n;
+    for i = 2 to 15 do
+      mont_mul ctx table.(i) table.(i - 1) base_m
+    done;
+    let windows = (nbits + 3) / 4 in
+    let window_value w =
+      let lo = 4 * w in
+      let v = ref 0 in
+      for b = 3 downto 0 do
+        v := (!v lsl 1) lor if test_bit exp (lo + b) then 1 else 0
+      done;
+      !v
+    in
+    Array.blit table.(window_value (windows - 1)) 0 acc 0 n;
+    for w = windows - 2 downto 0 do
+      mont_mul ctx acc acc acc;
+      mont_mul ctx acc acc acc;
+      mont_mul ctx acc acc acc;
+      mont_mul ctx acc acc acc;
+      let v = window_value w in
+      if v > 0 then mont_mul ctx acc acc table.(v)
+    done
+  end
 
 let mont_init (m : t) =
   if is_zero m || is_even m then invalid_arg "Nat.mont_init: modulus must be odd";
@@ -282,234 +418,59 @@ let mont_init (m : t) =
     inv := (!inv * (2 - (m0 * !inv))) land base_mask
   done;
   let n0' = (base_mask + 1 - !inv) land base_mask in
+  (* R has at most 27 bits more than m, so R mod m is a short division. *)
   let r_mod_m = modulo (shift_left one (base_bits * limbs)) m in
-  let r2 = modulo (mul r_mod_m r_mod_m) m in
-  let pad a =
-    let w = Array.make limbs 0 in
-    Array.blit a 0 w 0 (Array.length a);
-    w
-  in
-  {
-    m;
-    n0';
-    r2 = pad r2;
-    one_m = pad r_mod_m;
-    limbs;
-    tmp = Array.make (limbs + 2) 0;
-    sq = Array.make ((2 * limbs) + 1) 0;
-  }
+  let one_m = Array.make limbs 0 in
+  Array.blit r_mod_m 0 one_m 0 (Array.length r_mod_m);
+  let ctx = { m; n0'; r2 = one_m; one_m; limbs; u = Array.make limbs 0 } in
+  (* R^2 mod m is the Montgomery form of 2^(27 limbs): raise the
+     Montgomery form of 2 to that power, a dozen or so multiplies
+     instead of a double-width long division. *)
+  let two_m = Array.make limbs 0 and r2 = Array.make limbs 0 in
+  mod_add ctx two_m one_m one_m;
+  mont_pow ctx r2 two_m (of_int (base_bits * limbs));
+  { ctx with r2 }
 
-(* dst <- src mod m where src is the [limbs+1]-wide value at [src.(off)
-   .. src.(off+limbs)] known to be < 2m (top limb 0 or 1). *)
-let mont_sub_once ctx (src : int array) off (dst : int array) =
-  let n = ctx.limbs and m = ctx.m in
-  let ge =
-    src.(off + n) > 0
-    ||
-    let rec cmp i = if i < 0 then true else if src.(off + i) <> m.(i) then src.(off + i) > m.(i) else cmp (i - 1) in
-    cmp (n - 1)
-  in
-  if ge then begin
-    let borrow = ref 0 in
-    for i = 0 to n - 1 do
-      let d = Array.unsafe_get src (off + i) - Array.unsafe_get m i - !borrow in
-      Array.unsafe_set dst i (d land base_mask);
-      borrow := (d asr base_bits) land 1
-    done
+(* dst <- v*R mod m, the Montgomery form of any natural v. *)
+let rec load ctx (dst : int array) (v : t) =
+  let n = ctx.limbs and len = Array.length v in
+  if len > 2 * n then load ctx dst (modulo v ctx.m)
+  else begin
+    let lo = Array.make n 0 in
+    Array.blit v 0 lo 0 (min len n);
+    if len <= n then mont_mul ctx dst lo ctx.r2
+    else begin
+      (* v = hi*R + lo, as when a CRT half folds a message below p*q
+         into p's domain: v*R = (hi*R)*R + lo*R. *)
+      let hi = Array.make n 0 in
+      Array.blit v n hi 0 (len - n);
+      mont_mul ctx hi hi ctx.r2;
+      mont_mul ctx hi hi ctx.r2;
+      mont_mul ctx dst lo ctx.r2;
+      mod_add ctx dst dst hi
+    end
   end
-  else Array.blit src off dst 0 n
 
-(* Fused CIOS multiply: dst <- a*b/R mod m without materializing the
-   double-width product. Each outer round interleaves one limb of the
-   schoolbook product with one limb of the reduction, accumulating in
-   ctx.tmp; [dst] may alias [a] or [b]. *)
-let mont_mul ctx (dst : int array) (a : int array) (b : int array) =
-  let n = ctx.limbs and m = ctx.m and t = ctx.tmp in
-  Array.fill t 0 (n + 2) 0;
-  for i = 0 to n - 1 do
-    let ai = Array.unsafe_get a i in
-    (* t += a_i * b *)
-    let c = ref 0 in
-    for j = 0 to n - 1 do
-      let x = Array.unsafe_get t j + (ai * Array.unsafe_get b j) + !c in
-      Array.unsafe_set t j (x land base_mask);
-      c := x lsr base_bits
-    done;
-    let x = t.(n) + !c in
-    t.(n) <- x land base_mask;
-    t.(n + 1) <- x lsr base_bits;
-    (* t <- (t + u*m) / 2^31 *)
-    let u = (t.(0) * ctx.n0') land base_mask in
-    let c = ref ((t.(0) + (u * Array.unsafe_get m 0)) lsr base_bits) in
-    for j = 1 to n - 1 do
-      let x = Array.unsafe_get t j + (u * Array.unsafe_get m j) + !c in
-      Array.unsafe_set t (j - 1) (x land base_mask);
-      c := x lsr base_bits
-    done;
-    let x = t.(n) + !c in
-    t.(n - 1) <- x land base_mask;
-    t.(n) <- t.(n + 1) + (x lsr base_bits);
-    t.(n + 1) <- 0
-  done;
-  mont_sub_once ctx t 0 dst
-
-(* Montgomery reduction of the double-width value sitting in ctx.sq:
-   dst <- sq / R mod m (SOS rounds, in place). *)
-let mont_reduce_scratch ctx (dst : int array) =
-  let n = ctx.limbs and m = ctx.m and t = ctx.sq in
-  for i = 0 to n - 1 do
-    let u = (t.(i) * ctx.n0') land base_mask in
-    if u <> 0 then begin
-      let c = ref 0 in
-      for j = 0 to n - 1 do
-        let x = Array.unsafe_get t (i + j) + (u * Array.unsafe_get m j) + !c in
-        Array.unsafe_set t (i + j) (x land base_mask);
-        c := x lsr base_bits
-      done;
-      let k = ref (i + n) in
-      while !c <> 0 do
-        let x = t.(!k) + !c in
-        t.(!k) <- x land base_mask;
-        c := x lsr base_bits;
-        incr k
-      done
-    end
-  done;
-  mont_sub_once ctx t n dst
-
-(* Dedicated squaring: the cross products a_i*a_j (i<j) are computed
-   once, doubled by a linear shift pass, and the diagonal a_i^2 terms
-   added — about half the limb products of mont_mul — then reduced.
-   (Doubling each product inline would overflow 63-bit ints: 2*(2^31-1)^2
-   > max_int, hence the separate shift pass.) *)
-let mont_sqr ctx (dst : int array) (a : int array) =
-  let n = ctx.limbs and t = ctx.sq in
-  let len = (2 * n) + 1 in
-  Array.fill t 0 len 0;
-  for i = 0 to n - 2 do
-    let ai = Array.unsafe_get a i in
-    if ai <> 0 then begin
-      let c = ref 0 in
-      for j = i + 1 to n - 1 do
-        let x = Array.unsafe_get t (i + j) + (ai * Array.unsafe_get a j) + !c in
-        Array.unsafe_set t (i + j) (x land base_mask);
-        c := x lsr base_bits
-      done;
-      let k = ref (i + n) in
-      while !c <> 0 do
-        let x = t.(!k) + !c in
-        t.(!k) <- x land base_mask;
-        c := x lsr base_bits;
-        incr k
-      done
-    end
-  done;
-  let c = ref 0 in
-  for i = 0 to len - 1 do
-    let x = (Array.unsafe_get t i lsl 1) lor !c in
-    Array.unsafe_set t i (x land base_mask);
-    c := x lsr base_bits
-  done;
-  let c = ref 0 in
-  for i = 0 to n - 1 do
-    let ai = Array.unsafe_get a i in
-    let p = ai * ai in
-    let x = Array.unsafe_get t (2 * i) + (p land base_mask) + !c in
-    Array.unsafe_set t (2 * i) (x land base_mask);
-    let x1 = Array.unsafe_get t ((2 * i) + 1) + (p lsr base_bits) + (x lsr base_bits) in
-    Array.unsafe_set t ((2 * i) + 1) (x1 land base_mask);
-    c := x1 lsr base_bits
-  done;
-  if !c <> 0 then begin
-    let k = ref (2 * n) in
-    while !c <> 0 do
-      let x = t.(!k) + !c in
-      t.(!k) <- x land base_mask;
-      c := x lsr base_bits;
-      incr k
-    done
-  end;
-  mont_reduce_scratch ctx dst
-
-(* Fixed 4-bit windows: 4 squarings plus at most one table multiply per
-   window, a ~17% multiply saving over binary square-and-multiply at RSA
-   sizes. The 16-entry table costs 14 extra multiplies up front, well
-   repaid beyond ~128-bit exponents; short exponents take the binary
-   path. *)
 let mod_pow_ctx ctx ~base ~exp =
   let n = ctx.limbs in
-  (* Bring [base] into Montgomery form without a long division. CIOS
-     tolerates one operand up to R, so an n-limb base converts directly;
-     a wider base first folds through a Montgomery reduction (valid while
-     base < m*R, i.e. bit_length base <= bit_length m + 31n - 1) and two
-     r2 multiplies undo the R^-1. Only oversized bases — never hit by the
-     RSA paths — fall back to [modulo]. *)
-  let base_m = Array.make n 0 in
-  let blen = Array.length base in
-  if blen <= n then begin
-    Array.blit base 0 base_m 0 blen;
-    mont_mul ctx base_m base_m ctx.r2
-  end
-  else if blen <= 2 * n && bit_length base <= bit_length ctx.m + (base_bits * n) - 1
-  then begin
-    Array.fill ctx.sq 0 ((2 * n) + 1) 0;
-    Array.blit base 0 ctx.sq 0 blen;
-    mont_reduce_scratch ctx base_m;
-    mont_mul ctx base_m base_m ctx.r2;
-    mont_mul ctx base_m base_m ctx.r2
-  end
-  else begin
-    let b = modulo base ctx.m in
-    Array.blit b 0 base_m 0 (Array.length b);
-    mont_mul ctx base_m base_m ctx.r2
-  end;
-  let base_zero =
-    let rec all_zero i = i >= n || (base_m.(i) = 0 && all_zero (i + 1)) in
-    all_zero 0
-  in
-  if base_zero then if is_zero exp then modulo one ctx.m else zero
-  else begin
-    let nbits = bit_length exp in
-    let acc = Array.make n 0 in
-    if nbits <= 128 then begin
-      Array.blit ctx.one_m 0 acc 0 n;
-      for i = nbits - 1 downto 0 do
-        mont_sqr ctx acc acc;
-        if test_bit exp i then mont_mul ctx acc acc base_m
-      done
-    end
-    else begin
-      let table = Array.init 16 (fun _ -> Array.make n 0) in
-      Array.blit ctx.one_m 0 table.(0) 0 n;
-      Array.blit base_m 0 table.(1) 0 n;
-      for i = 2 to 15 do
-        mont_mul ctx table.(i) table.(i - 1) base_m
-      done;
-      let windows = (nbits + 3) / 4 in
-      let window_value w =
-        let lo = 4 * w in
-        let v = ref 0 in
-        for b = 3 downto 0 do
-          v := (!v lsl 1) lor (if test_bit exp (lo + b) then 1 else 0)
-        done;
-        !v
-      in
-      Array.blit table.(window_value (windows - 1)) 0 acc 0 n;
-      for w = windows - 2 downto 0 do
-        mont_sqr ctx acc acc;
-        mont_sqr ctx acc acc;
-        mont_sqr ctx acc acc;
-        mont_sqr ctx acc acc;
-        let v = window_value w in
-        if v > 0 then mont_mul ctx acc acc table.(v)
-      done
-    end;
-    (* out of Montgomery form: acc / R mod m *)
-    Array.fill ctx.sq 0 ((2 * n) + 1) 0;
-    Array.blit acc 0 ctx.sq 0 n;
-    mont_reduce_scratch ctx acc;
-    normalize (Array.copy acc)
-  end
+  let base_m = Array.make n 0 and acc = Array.make n 0 in
+  load ctx base_m base;
+  mont_pow ctx acc base_m exp;
+  (* out of Montgomery form: acc * 1 / R *)
+  let one_plain = Array.make n 0 in
+  one_plain.(0) <- 1;
+  mont_mul ctx acc acc one_plain;
+  normalize acc
+
+let mod_mul ctx a b =
+  let n = ctx.limbs in
+  let x = Array.make n 0 and y = Array.make n 0 in
+  load ctx x a;
+  let b = if Array.length b > n then modulo b ctx.m else b in
+  Array.blit b 0 y 0 (Array.length b);
+  (* (a*R) * b / R *)
+  mont_mul ctx x x y;
+  normalize x
 
 let mod_pow_generic ~base ~exp ~modulus =
   let base = modulo base modulus in
@@ -530,7 +491,7 @@ let of_bytes_be s =
   let n = String.length s in
   if n = 0 then zero
   else begin
-    (* Pack 8-bit bytes directly into 31-bit limbs. *)
+    (* Pack 8-bit bytes directly into 27-bit limbs. *)
     let total_bits = n * 8 in
     let limbs = ((total_bits + base_bits - 1) / base_bits) in
     let r = Array.make limbs 0 in
@@ -544,26 +505,22 @@ let of_bytes_be s =
     normalize r
   end
 
-let to_bytes_be a =
-  let bits = bit_length a in
-  let n = (bits + 7) / 8 in
-  let out = Bytes.make n '\000' in
-  for i = 0 to n - 1 do
-    (* byte i counts from the most significant end *)
-    let lo_bit = (n - 1 - i) * 8 in
-    let v = ref 0 in
-    for b = 7 downto 0 do
-      v := (!v lsl 1) lor (if test_bit a (lo_bit + b) then 1 else 0)
-    done;
-    Bytes.set out i (Char.chr !v)
+(* Byte k from the least significant end is bits 8k .. 8k+7, read
+   from at most two neighbouring limbs. *)
+let to_bytes_be_padded ~len a =
+  let nbytes = (bit_length a + 7) / 8 in
+  if nbytes > len then invalid_arg "Nat.to_bytes_be_padded: value too large";
+  let out = Bytes.make len '\000' in
+  let la = Array.length a in
+  for k = 0 to nbytes - 1 do
+    let limb = 8 * k / base_bits and off = 8 * k mod base_bits in
+    let v = a.(limb) lsr off in
+    let v = if off > base_bits - 8 && limb + 1 < la then v lor (a.(limb + 1) lsl (base_bits - off)) else v in
+    Bytes.unsafe_set out (len - 1 - k) (Char.unsafe_chr (v land 0xff))
   done;
   Bytes.unsafe_to_string out
 
-let to_bytes_be_padded ~len a =
-  let s = to_bytes_be a in
-  let n = String.length s in
-  if n > len then invalid_arg "Nat.to_bytes_be_padded: value too large";
-  String.make (len - n) '\000' ^ s
+let to_bytes_be a = to_bytes_be_padded ~len:((bit_length a + 7) / 8) a
 
 let of_decimal s =
   if String.length s = 0 then invalid_arg "Nat.of_decimal: empty";

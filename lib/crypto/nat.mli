@@ -1,13 +1,14 @@
 (** Arbitrary-precision natural numbers.
 
-    Pure OCaml: little-endian arrays of 31-bit limbs. Values are
+    Pure OCaml: little-endian arrays of 27-bit limbs. Values are
     canonical (no leading zero limbs), so structural equality of the
     underlying representation coincides with numeric equality.
 
     This is the bignum substrate for the RSA implementation — the sealed
     build environment ships no zarith, so the reproduction carries its
     own. Performance targets the paper's key sizes (512–2048 bits):
-    schoolbook multiplication and Montgomery exponentiation. *)
+    schoolbook multiplication and product-scanning Montgomery
+    exponentiation. *)
 
 type t
 
@@ -54,6 +55,11 @@ val test_bit : t -> int -> bool
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
+val rem_int : t -> int -> int
+(** [rem_int a d] is [a mod d] for a machine-word divisor, in one pass
+    over the limbs with no allocation (the prime search's trial
+    division). @raise Invalid_argument unless [0 < d <= 2^32]. *)
+
 val gcd : t -> t -> t
 
 val mod_inverse : t -> t -> t option
@@ -62,20 +68,22 @@ val mod_inverse : t -> t -> t option
 
 type mont
 (** Precomputed Montgomery context for a fixed odd modulus: the limb
-    inverse, [R^2 mod m], and preallocated scratch buffers for the fused
-    CIOS multiply / squaring inner loops. Building one costs a full
-    division ([R^2 mod m]); cache it per key and pass it to {!mod_pow}
-    to keep that cost off the signing hot path. A context's scratch is
-    reused across calls, so a single context must not be used from two
-    concurrent exponentiations (fine single-threaded). *)
+    inverse, [R mod m], [R^2 mod m], and a scratch buffer for the
+    reduction digits of the product-scanning multiply.
+    Building one costs a short division ([R mod m]) and a dozen or so
+    Montgomery multiplies ([R^2 mod m]); cache it per key and pass it to
+    {!mod_pow_ctx} to keep that cost off the signing hot path. The
+    kernel is correct for odd moduli of any width. A context's scratch
+    is reused across calls, so a single context must not be used from
+    two concurrent operations (fine single-threaded). *)
 
 val mont_init : t -> mont
 (** @raise Invalid_argument if the modulus is zero or even. *)
 
 val mont_clone : mont -> mont
 (** A context over the same modulus sharing the precomputed constants
-    but carrying fresh scratch buffers. Cloning is two small
-    allocations, against the full division {!mont_init} pays — so a
+    but carrying a fresh scratch buffer. Cloning is one small
+    allocation, against the setup {!mont_init} pays — so a
     cache can hold one master context per modulus and hand each domain
     its own clone, keeping contexts single-threaded without re-running
     the setup. *)
@@ -91,13 +99,20 @@ val mod_pow : base:t -> exp:t -> modulus:t -> t
 
 val mod_pow_ctx : mont -> base:t -> exp:t -> t
 (** [mod_pow_ctx ctx ~base ~exp] is [base^exp mod (mont_modulus ctx)]
-    through the fused-CIOS fast path, with no per-call setup — the
-    signing hot path for cached per-key contexts. *)
+    through the product-scanning Montgomery kernel, with no per-call
+    setup — the signing hot path for cached per-key contexts. Bases of
+    up to twice the modulus width (a CRT half's input) enter the
+    Montgomery domain without a long division. *)
+
+val mod_mul : mont -> t -> t -> t
+(** [mod_mul ctx a b] is [a * b mod (mont_modulus ctx)] in two
+    Montgomery multiplies, with no long division for operands of up to
+    the modulus width ([a] up to twice it). *)
 
 val mod_pow_generic : base:t -> exp:t -> modulus:t -> t
 (** Reference square-and-multiply implementation (no Montgomery forms,
-    any modulus). Slow; exposed as the cross-check oracle for the fused
-    CIOS fast path. *)
+    any modulus). Slow; exposed as the cross-check oracle for the
+    Montgomery kernel. *)
 
 val of_bytes_be : string -> t
 (** Big-endian bytes to natural. The empty string is zero. *)

@@ -58,21 +58,23 @@ let raw_apply_secret sk m =
   let m = Nat.modulo m sk.pub.n in
   let m1 = Nat.mod_pow_ctx sk.mont_p ~base:m ~exp:sk.dp in
   let m2 = Nat.mod_pow_ctx sk.mont_q ~base:m ~exp:sk.dq in
-  (* h = qinv * (m1 - m2) mod p, with the subtraction lifted above zero *)
-  let m2_mod_p = Nat.modulo m2 sk.p in
-  let diff = Nat.modulo (Nat.sub (Nat.add m1 sk.p) m2_mod_p) sk.p in
-  let h = Nat.modulo (Nat.mul sk.qinv diff) sk.p in
+  (* h = qinv * (m1 - m2) mod p. m1, m2 < p (m2 < q < p), so the
+     difference needs at most one lift by p; the product reduces through
+     p's cached context instead of a long division. *)
+  let diff = if Nat.compare m1 m2 >= 0 then Nat.sub m1 m2 else Nat.sub (Nat.add m1 sk.p) m2 in
+  let h = Nat.mod_mul sk.mont_p sk.qinv diff in
   Nat.add m2 (Nat.mul h sk.q)
 
 (* [public] is a transparent record, so verification contexts live in a
    module-level memo instead of the key itself. Two layers make the
    memo domain-safe without serializing verifications:
 
-   - a mutex-guarded master table paying mont_init (a full division for
-     R^2 mod m) once per modulus, process-wide;
+   - a mutex-guarded master table paying mont_init (a short division
+     and a Montgomery exponentiation for R^2 mod m) once per modulus,
+     process-wide;
    - a domain-local table of clones of the master (fresh scratch over
-     shared constants), because a Nat.mont context's scratch buffers
-     make it single-threaded — two domains must never share one.
+     shared constants), because a Nat.mont context's scratch buffer
+     makes it single-threaded — two domains must never share one.
 
    Both tables are bounded so a stream of one-shot keys cannot grow
    them without limit. Even/zero moduli (never produced by [generate],

@@ -147,6 +147,38 @@ let test_lapsed_weak_witness_rejected () =
       Alcotest.(check bool) "meta witness flagged" true (List.mem Client.Meta_witness_invalid vs)
   | v -> Alcotest.fail (Client.verdict_name v)
 
+let test_weak_cert_verified_once () =
+  (* every record a short-term key witnessed carries the same
+     certificate: its CA signature is checked once, later reads hit the
+     memo, and the validity window is still checked on every read *)
+  let env = fresh_env () in
+  let sn1 = write env ~witness:Firmware.Weak_deferred () in
+  let sn2 = write env ~witness:Firmware.Weak_deferred () in
+  let stats () =
+    match Client.verify_cache_stats env.client with
+    | Some s -> (s.Client.cache_hits, s.Client.cache_misses)
+    | None -> Alcotest.fail "client has no verify memo"
+  in
+  let hits0, misses0 = stats () in
+  check_verdict "first weak read" "valid-data" env sn1;
+  check_verdict "second weak read" "valid-data" env sn2;
+  let hits1, misses1 = stats () in
+  Alcotest.(check int) "certificate signature verified once" 1 (misses1 - misses0);
+  Alcotest.(check int) "other three certificate checks hit the memo" 3 (hits1 - hits0);
+  match Worm.read env.store sn1 with
+  | Proof.Found { vrd; blocks } -> (
+      let widen = function
+        | Witness.Weak { cert; signature } ->
+            Witness.Weak { cert = { cert with Cert.not_after = Int64.max_int }; signature }
+        | w -> Alcotest.fail ("expected a weak witness, got " ^ Witness.strength_name (Witness.strength w))
+      in
+      let vrd = { vrd with Vrd.metasig = widen vrd.Vrd.metasig } in
+      match Client.verify_read env.client ~sn:sn1 (Proof.Found { vrd; blocks }) with
+      | Client.Violation vs ->
+          Alcotest.(check bool) "widened certificate rejected" true (List.mem Client.Meta_witness_invalid vs)
+      | v -> Alcotest.fail (Client.verdict_name v))
+  | _ -> Alcotest.fail "record not found"
+
 let test_direct_scpu_freshness_ignores_timestamps () =
   (* under option (i) even an ancient served bound is fine — the client
      substitutes its own direct query *)
@@ -211,6 +243,7 @@ let suite =
     ("base not covering rejected", `Quick, test_base_bound_not_covering_rejected);
     ("window not covering rejected", `Quick, test_window_not_covering_rejected);
     ("lapsed weak witness rejected", `Quick, test_lapsed_weak_witness_rejected);
+    ("weak certificate verified once", `Quick, test_weak_cert_verified_once);
     ("direct-SCPU freshness (option i)", `Quick, test_direct_scpu_freshness_ignores_timestamps);
     ("migration attestation", `Quick, test_migration_attestation_check);
     ("cross-store responses rejected", `Quick, test_client_of_other_store_rejects);

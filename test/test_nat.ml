@@ -92,14 +92,142 @@ let prop_mod_pow_homomorphism =
       let rhs = Nat.modulo (Nat.mul (Nat.mod_pow ~base:a ~exp:e1 ~modulus:m) (Nat.mod_pow ~base:a ~exp:e2 ~modulus:m)) m in
       Nat.equal lhs rhs)
 
+(* RSA-shaped cases: odd moduli of exactly 512, 1024 and 2048 bits, with
+   the exponents and bases signing and verification meet — full-width
+   and e = 65537 exponents; double-width bases (a CRT half's input);
+   bases 0, 1, m-1, m and k*m; and a base wider than 2 moduli, which
+   takes the division path. 2048-bit cases keep exponents to 160 bits:
+   the oracle's shift-and-subtract division makes a full-width one
+   cost seconds. *)
+let gen_rsa_shape =
+  let open QCheck.Gen in
+  let* bits = oneofl [ 512; 1024; 2048 ] in
+  let* seed = string_size (return 8) in
+  let* base_kind = int_bound 7 in
+  let* exp_kind = int_bound 2 in
+  let rng = Drbg.create ~seed in
+  let exact b = Nat.add (Nat.shift_left Nat.one (b - 1)) (Drbg.nat_bits rng (b - 1)) in
+  let m = exact bits in
+  let m = if Nat.is_even m then Nat.succ m else m in
+  let base =
+    match base_kind with
+    | 0 -> Drbg.nat_below rng m
+    | 1 -> Drbg.nat_bits rng (2 * bits)
+    | 2 -> Nat.zero
+    | 3 -> Nat.one
+    | 4 -> Nat.pred m
+    | 5 -> m
+    | 6 -> Nat.mul m (Nat.of_int (2 + Drbg.int_below rng 1_000_000))
+    | _ -> Drbg.nat_bits rng (3 * bits)
+  in
+  let exp =
+    match exp_kind with
+    | 0 -> if bits = 2048 then Drbg.nat_bits rng 160 else exact bits
+    | 1 -> Nat.of_int 65537
+    | _ -> Drbg.nat_bits rng 64
+  in
+  return (base, exp, m)
+
 let prop_ctx_agrees_generic =
-  (* The fused-CIOS fast path must agree with the reference
-     square-and-multiply on random odd moduli of mixed widths,
-     including double-width bases (the CRT signing shape). *)
-  t "mod_pow_ctx agrees with mod_pow_generic" arb_triple (fun (base, exp, m) ->
+  (* The Montgomery kernel must agree with the reference
+     square-and-multiply on random odd moduli of mixed widths and on
+     RSA-shaped moduli, exponents and bases. *)
+  let arb =
+    QCheck.make
+      ~print:(fun (a, b, c) -> String.concat "," (List.map Nat.to_decimal [ a; b; c ]))
+      QCheck.Gen.(frequency [ (7, triple gen_nat gen_nat gen_nat); (1, gen_rsa_shape) ])
+  in
+  t "mod_pow_ctx agrees with mod_pow_generic" arb (fun (base, exp, m) ->
       QCheck.assume (Nat.compare m Nat.two > 0 && not (Nat.is_even m));
       let ctx = Nat.mont_init m in
       Nat.equal (Nat.mod_pow_ctx ctx ~base ~exp) (Nat.mod_pow_generic ~base ~exp ~modulus:m))
+
+let prop_mod_mul =
+  (* [a] up to twice the modulus width and beyond, [b] up to and past it. *)
+  let wide = QCheck.Gen.(map2 (fun a b -> Nat.add (Nat.shift_left a 600) b) gen_nat gen_nat) in
+  let arb =
+    QCheck.make
+      ~print:(fun (a, b, c) -> String.concat "," (List.map Nat.to_decimal [ a; b; c ]))
+      QCheck.Gen.(triple (frequency [ (3, gen_nat); (1, wide) ]) (frequency [ (3, gen_nat); (1, wide) ]) gen_nat)
+  in
+  t "mod_mul agrees with modulo (mul a b)" arb (fun (a, b, m) ->
+      QCheck.assume (Nat.compare m Nat.two > 0 && not (Nat.is_even m));
+      Nat.equal (Nat.mod_mul (Nat.mont_init m) a b) (Nat.modulo (Nat.mul a b) m))
+
+let prop_rem_int =
+  let gen_d =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range 1 256);
+          (2, int_range 1 (1 lsl 32));
+          (1, oneofl [ 1; 2; (1 lsl 27) - 1; 1 lsl 27; (1 lsl 27) + 1; (1 lsl 32) - 1; 1 lsl 32 ]);
+        ])
+  in
+  t "rem_int agrees with modulo"
+    (QCheck.make ~print:(fun (a, d) -> Nat.to_decimal a ^ "," ^ string_of_int d) QCheck.Gen.(pair gen_nat gen_d))
+    (fun (a, d) -> Nat.rem_int a d = Nat.to_int (Nat.modulo a (Nat.of_int d)))
+
+(* Bit-by-bit reference encoding, independent of the limb walk. *)
+let ref_to_bytes_be a =
+  let n = (Nat.bit_length a + 7) / 8 in
+  String.init n (fun i ->
+      let lo = (n - 1 - i) * 8 in
+      let v = ref 0 in
+      for b = 7 downto 0 do
+        v := (!v lsl 1) lor if Nat.test_bit a (lo + b) then 1 else 0
+      done;
+      Char.chr !v)
+
+let prop_bytes_limb_boundaries =
+  (* Values exactly 27k-1, 27k and 27k+1 bits wide: a byte straddles a
+     limb boundary at every width that is not a multiple of 8. *)
+  let gen =
+    QCheck.Gen.(
+      let* k = int_range 1 80 in
+      let* delta = int_range (-1) 1 in
+      let* seed = string_size (return 8) in
+      let bits = (27 * k) + delta in
+      let rng = Drbg.create ~seed in
+      return (Nat.add (Nat.shift_left Nat.one (bits - 1)) (Drbg.nat_bits rng (bits - 1))))
+  in
+  t "to_bytes_be at limb boundaries" (QCheck.make ~print:Nat.to_decimal gen) (fun a ->
+      let s = Nat.to_bytes_be a in
+      let len = String.length s + 3 in
+      String.equal s (ref_to_bytes_be a)
+      && Nat.equal (Nat.of_bytes_be s) a
+      && String.equal (Nat.to_bytes_be_padded ~len a) ("\000\000\000" ^ s))
+
+(* The kernel folds a column sum every 64 product pairs. Without the
+   fold, a column of an n-limb multiply (up to n operand products and n
+   reduction products, each below 2^54) passes max_int above ~120 limbs
+   and overflows the 63-bit word altogether a few hundred limbs later.
+   The inputs make columns as large as they get: m = R - r for a small
+   odd r is all ones above its two lowest limbs; the base is chosen so its Montgomery form is
+   m - 1, all ones too; and the reduction digits, which follow r^-1 mod
+   R, come out full-width. One modulus sits at the ~120-limb bound and
+   one, at 400 limbs, is far enough above it that an unfolded column
+   overflows the word. *)
+let test_column_bound () =
+  let r = Nat.of_int 0xB7E151628AED in
+  List.iter
+    (fun limbs ->
+      let m = Nat.sub (Nat.shift_left Nat.one (27 * limbs)) r in
+      let base = match Nat.mod_inverse r m with Some r_inv -> Nat.sub m r_inv | None -> assert false in
+      let ctx = Nat.mont_init m in
+      List.iter
+        (fun e ->
+          let exp = Nat.of_int e in
+          Alcotest.check nat
+            (Printf.sprintf "%d limbs, exponent %d" limbs e)
+            (Nat.mod_pow_generic ~base ~exp ~modulus:m)
+            (Nat.mod_pow_ctx ctx ~base ~exp))
+        [ 2; 5 ];
+      Alcotest.check nat
+        (Printf.sprintf "%d limbs, mod_mul" limbs)
+        (Nat.modulo (Nat.mul base base) m)
+        (Nat.mod_mul ctx base base))
+    [ 120; 400 ]
 
 let prop_ctx_reuse =
   (* One cached context across many exponentiations: scratch-buffer
@@ -199,6 +327,10 @@ let suite =
     ("montgomery context", `Quick, test_mont_ctx);
     QCheck_alcotest.to_alcotest prop_ctx_agrees_generic;
     QCheck_alcotest.to_alcotest prop_ctx_reuse;
+    QCheck_alcotest.to_alcotest prop_mod_mul;
+    QCheck_alcotest.to_alcotest prop_rem_int;
+    QCheck_alcotest.to_alcotest prop_bytes_limb_boundaries;
+    ("column bound", `Quick, test_column_bound);
     QCheck_alcotest.to_alcotest prop_mod_inverse;
     QCheck_alcotest.to_alcotest prop_gcd_divides;
   ]

@@ -158,6 +158,32 @@ let test_cert_codec () =
       Alcotest.(check string) "subject preserved" cert.Cert.subject cert'.Cert.subject
   | Error e -> Alcotest.fail e
 
+(* ---------- byte-identity known answers ---------- *)
+
+(* Seeded keys and PKCS#1 signatures pinned byte for byte: a change to
+   the bignum kernel, the CRT recombination or the prime search that
+   alters a single key or signature bit fails here. *)
+let test_known_answers () =
+  let rng = Drbg.create ~seed:"kat" in
+  let expected =
+    [
+      (512, "3c536eb333ba6298", "57e5adbb22f26bee");
+      (1024, "36f33d3d46399ae6", "87fd1ed90967a7e3");
+      (1024, "24ff2c1793dbccce", "46200c955a862465");
+      (512, "1da813bd4a172dd6", "c24e2ac7a1d5b732");
+      (2048, "0fd18ce941529f0d", "1ac8f1852782dbba");
+    ]
+  in
+  List.iter
+    (fun (bits, fingerprint, digest) ->
+      let key = Rsa.generate rng ~bits in
+      let label = Printf.sprintf "rsa-%d %s" bits fingerprint in
+      Alcotest.(check string) (label ^ " fingerprint") fingerprint (Rsa.fingerprint (Rsa.public_of key));
+      let sigs = String.concat "" (List.map (Rsa.sign key) [ ""; "abc"; String.make 4096 'x' ]) in
+      Alcotest.(check string) (label ^ " signatures") digest
+        (String.sub (Worm_util.Hex.encode (Sha256.digest sigs)) 0 16))
+    expected
+
 let suite =
   [
     ("small primes classified", `Quick, test_small_primes);
@@ -174,6 +200,7 @@ let suite =
     ("cert lifecycle", `Quick, test_cert_lifecycle);
     ("cert tamper detected", `Quick, test_cert_tamper_detected);
     ("cert codec", `Quick, test_cert_codec);
+    ("known-answer keys and signatures", `Quick, test_known_answers);
     QCheck_alcotest.to_alcotest prop_sign_verify;
     QCheck_alcotest.to_alcotest prop_signature_not_transferable;
   ]
