@@ -19,7 +19,8 @@
      scaling    measured N-shard multi-SCPU scaling (§5)
      hash       host hash hot path, MB/s per size class
      wire       message encode/decode rates and per-op allocation
-     local      Figure 1 re-projected onto THIS host's measured rates
+     local      Figure 1 re-projected onto THIS host's measured rates,
+                + the pooled signing domain curve (exit 1 if it differs)
      readthroughput  verified reads/s: domain pool x verify cache, + projection
      bechamel   real wall-clock rates of the pure-OCaml primitives
 
@@ -435,8 +436,8 @@ let print_serve ~quick ~env:_ =
   in
   let r = Sim.multi_client ~phases ~seed:"bench-serve" () in
   Format.printf "%a@." Sim.pp_multi_client r;
-  Printf.printf "wire path: %d requests, %.1f minor words/request, %.0f req/s of host CPU\n" r.Sim.mc_requests
-    r.Sim.mc_minor_words_per_req r.Sim.mc_host_rps;
+  Printf.printf "wire path: %d requests, %.1f minor words/request\n" r.Sim.mc_requests
+    r.Sim.mc_minor_words_per_req;
   if not r.Sim.mc_fingerprint_match then begin
     prerr_endline "serve: batched faulty run diverged from the sequential oracle";
     exit 1
@@ -473,7 +474,6 @@ let print_serve ~quick ~env:_ =
          ("fingerprint_match", Bool r.Sim.mc_fingerprint_match);
          ("requests", Int r.Sim.mc_requests);
          ("minor_words_per_req", Float r.Sim.mc_minor_words_per_req);
-         ("host_rps", Float r.Sim.mc_host_rps);
        ])
 
 let print_scaling ~quick ~env:_ =
@@ -482,15 +482,15 @@ let print_scaling ~quick ~env:_ =
   let shards_list = [ 1; 2; 4; 8 ] in
   let rows = Sim.cluster_scaling ~records ~seed:"bench-scaling" ~shards_list () in
   Printf.printf "Measured: N-shard Shard_router, one batching event loop per shard, per-shard ledgers.\n";
-  Printf.printf "%-8s %16s %10s %18s %10s %10s %10s %10s %10s\n" "shards" "aggregate rec/s" "speedup" "bottleneck"
-    "flushes" "proof" "verdicts" "words/req" "host rps";
+  Printf.printf "%-8s %16s %10s %18s %10s %10s %10s %10s\n" "shards" "aggregate rec/s" "speedup" "bottleneck"
+    "flushes" "proof" "verdicts" "words/req";
   List.iter
     (fun (r : Sim.cluster_row) ->
-      Printf.printf "%-8d %16.0f %9.2fx %11s@shard%d %10d %10s %10s %10.0f %10.0f\n" r.Sim.cl_shards
+      Printf.printf "%-8d %16.0f %9.2fx %11s@shard%d %10d %10s %10s %10.0f\n" r.Sim.cl_shards
         r.Sim.cl_aggregate_rps r.Sim.cl_speedup r.Sim.cl_bottleneck r.Sim.cl_bottleneck_shard r.Sim.cl_flushes
         (if r.Sim.cl_proof_ok && r.Sim.cl_global_current_ok then "verified" else "FAILED")
         (if r.Sim.cl_fingerprint_match then "identical" else "DIVERGED")
-        r.Sim.cl_minor_words_per_req r.Sim.cl_host_rps;
+        r.Sim.cl_minor_words_per_req;
       List.iter
         (fun (s : Sim.cluster_shard_row) ->
           Printf.printf "          shard %d: %3d rec  scpu %.4fs  host %.4fs  disk %.4fs  %8.0f rec/s  (%s-bound)\n"
@@ -529,7 +529,6 @@ let print_scaling ~quick ~env:_ =
                       ("global_current_ok", Bool r.Sim.cl_global_current_ok);
                       ("fingerprint_match", Bool r.Sim.cl_fingerprint_match);
                       ("minor_words_per_req", Float r.Sim.cl_minor_words_per_req);
-                      ("host_rps", Float r.Sim.cl_host_rps);
                       ( "shards_detail",
                         Arr
                           (List.map
@@ -635,6 +634,22 @@ let time_per_op ~min_time_s ~min_iters f =
   done;
   !elapsed /. float_of_int !n
 
+(* The highest of [trials] rates: a transient slowdown of a shared host
+   lowers one trial, not the row. *)
+let best_of ~trials rate =
+  let best = ref 0. in
+  for _ = 1 to trials do
+    best := Float.max !best (rate ())
+  done;
+  !best
+
+(* Domain counts for a parallel curve: 1, 2 and 4, plus this host's
+   recommended count when it is none of those. *)
+let curve_domains () =
+  let n = Worm_util.Pool.recommended_domains () in
+  let base = [ 1; 2; 4 ] in
+  if List.mem n base then base else base @ [ n ]
+
 (* ------------------------------------------------------------------ *)
 (* Host hash hot path: MB/s per size class for every digest the WORM
    layer leans on. The committed pre/post baselines under bench/results/
@@ -652,12 +667,7 @@ let print_hash ~quick ~env:_ =
      the committed baselines robust to transient load on a shared host. *)
   let trials = if quick then 1 else 3 in
   let mb_per_sec bytes f =
-    let best = ref 0. in
-    for _ = 1 to trials do
-      let rate = float_of_int bytes /. time_per_op ~min_time_s:budget ~min_iters:8 f /. 1e6 in
-      if rate > !best then best := rate
-    done;
-    !best
+    best_of ~trials (fun () -> float_of_int bytes /. time_per_op ~min_time_s:budget ~min_iters:8 f /. 1e6)
   in
   let rows = ref [] in
   let row ~algo ~mode ~bytes rate = rows := (algo, mode, bytes, rate) :: !rows in
@@ -743,6 +753,45 @@ let print_local ~quick ~env:_ =
       Printf.printf "%-26s %9d KB %12.0f %12s\n" m.Sim.label (m.Sim.record_bytes / 1024) m.Sim.throughput_rps
         m.Sim.bottleneck)
     rows;
+  (* The SCPU crypto engine's domain curve: one batch through
+     Rsa.sign_batch on a pool of each size. A pool of one domain signs
+     sequentially in the caller, so that row is the baseline. Identity-
+     gated like readthroughput: a pooled batch must be byte-identical to
+     the sequential one. *)
+  let batch = List.init 32 (Printf.sprintf "local sign batch %d") in
+  let batch_rate f =
+    best_of ~trials:(if quick then 1 else 3) (fun () ->
+        float_of_int (List.length batch) /. time_per_op ~min_time_s:budget ~min_iters:2 f)
+  in
+  let sign_curve =
+    List.map
+      (fun (bits, key) ->
+        let key = Lazy.force key in
+        let sequential = List.map (Rsa.sign key) batch in
+        let rows =
+          List.map
+            (fun domains ->
+              Worm_util.Pool.with_pool ~domains (fun pool ->
+                  let identical = Rsa.sign_batch ~pool key batch = sequential in
+                  (domains, batch_rate (fun () -> Rsa.sign_batch ~pool key batch), identical)))
+            (curve_domains ())
+        in
+        let base = match rows with (_, rate, _) :: _ -> rate | [] -> nan in
+        (bits, List.map (fun (domains, rate, identical) -> (domains, rate, rate /. base, identical)) rows))
+      [ (512, key512); (1024, key1024) ]
+  in
+  Printf.printf "\nsigning domain curve (Rsa.sign_batch ~pool, %d messages per batch):\n" (List.length batch);
+  Printf.printf "%-28s %14s %10s %12s\n" "configuration" "sig/s" "speedup" "identical";
+  List.iter
+    (fun (bits, rows) ->
+      List.iter
+        (fun (domains, rate, speedup, identical) ->
+          Printf.printf "%-28s %14.0f %9.2fx %12s\n"
+            (Printf.sprintf "rsa-%d, %d domain%s" bits domains (if domains = 1 then "" else "s"))
+            rate speedup
+            (if identical then "yes" else "DIFFERS"))
+        rows)
+    sign_curve;
   add_json "local_sim"
     (Obj
        [
@@ -755,7 +804,32 @@ let print_local ~quick ~env:_ =
                ("sha256_64k_bytes_per_sec", Float h64k);
              ] );
          ("rows", Arr (List.map json_of_measurement rows));
-       ])
+         ( "sign_curve",
+           Obj
+             [
+               ("batch", Int (List.length batch));
+               ( "rows",
+                 Arr
+                   (List.concat_map
+                      (fun (bits, rows) ->
+                        List.map
+                          (fun (domains, rate, speedup, identical) ->
+                            Obj
+                              [
+                                ("bits", Int bits);
+                                ("domains", Int domains);
+                                ("sig_per_sec", Float rate);
+                                ("speedup_vs_1_domain", Float speedup);
+                                ("identical_to_sequential", Bool identical);
+                              ])
+                          rows)
+                      sign_curve) );
+             ] );
+       ]);
+  if List.exists (fun (_, rows) -> List.exists (fun (_, _, _, identical) -> not identical) rows) sign_curve then begin
+    prerr_endline "local: pooled signing differs from sequential signing";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Verified-read throughput: the §4.2.2 host-side-only read path,
@@ -826,11 +900,6 @@ let print_readthroughput ~quick ~env:_ =
     List.length (List.filter (fun (_, v) -> match v with Core.Client.Violation _ -> true | _ -> false) baseline_verdicts)
   in
   let baseline_rps = measure_read_rps ~budget ~client:baseline_client items in
-  let domains_list =
-    let n = Pool.recommended_domains () in
-    let base = [ 1; 2; 4 ] in
-    if List.mem n base then base else base @ [ n ]
-  in
   let curve =
     List.map
       (fun domains ->
@@ -842,7 +911,7 @@ let print_readthroughput ~quick ~env:_ =
         let stats = Core.Client.verify_cache_stats client in
         Option.iter Pool.shutdown pool;
         (domains, rps, identical, stats))
-      domains_list
+      (curve_domains ())
   in
   Printf.printf "%-28s %14s %10s %12s %12s\n" "configuration" "reads/s" "speedup" "cache h/m" "identical";
   Printf.printf "%-28s %14.0f %9.2fx %12s %12s\n" "sequential, no cache" baseline_rps 1.0 "-"

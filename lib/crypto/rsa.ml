@@ -10,8 +10,8 @@ type secret = {
   dp : Nat.t; (* d mod (p-1) *)
   dq : Nat.t; (* d mod (q-1) *)
   qinv : Nat.t; (* q^-1 mod p *)
-  mont_p : Nat.mont; (* cached Montgomery context for p *)
-  mont_q : Nat.mont; (* cached Montgomery context for q *)
+  mont_p : Nat.mont; (* cached Montgomery context for p; clone before use *)
+  mont_q : Nat.mont; (* cached Montgomery context for q; clone before use *)
 }
 
 let e_65537 = Nat.of_int 65537
@@ -54,15 +54,21 @@ let generate rng ~bits =
 let public_of sk = sk.pub
 let modulus_bytes pub = (Nat.bit_length pub.n + 7) / 8
 
+(* Each call signs on clones of the key's cached contexts: the kernel
+   writes only a context's scratch, never its constants, so a clone (one
+   limb array per prime, against ~1 ms of exponentiation) is all two
+   domains need to sign under one key at once. No clone is kept, so no
+   copy of the key's contexts outlives the key. *)
 let raw_apply_secret sk m =
+  let mont_p = Nat.mont_clone sk.mont_p and mont_q = Nat.mont_clone sk.mont_q in
   let m = Nat.modulo m sk.pub.n in
-  let m1 = Nat.mod_pow_ctx sk.mont_p ~base:m ~exp:sk.dp in
-  let m2 = Nat.mod_pow_ctx sk.mont_q ~base:m ~exp:sk.dq in
+  let m1 = Nat.mod_pow_ctx mont_p ~base:m ~exp:sk.dp in
+  let m2 = Nat.mod_pow_ctx mont_q ~base:m ~exp:sk.dq in
   (* h = qinv * (m1 - m2) mod p. m1, m2 < p (m2 < q < p), so the
      difference needs at most one lift by p; the product reduces through
      p's cached context instead of a long division. *)
   let diff = if Nat.compare m1 m2 >= 0 then Nat.sub m1 m2 else Nat.sub (Nat.add m1 sk.p) m2 in
-  let h = Nat.mod_mul sk.mont_p sk.qinv diff in
+  let h = Nat.mod_mul mont_p sk.qinv diff in
   Nat.add m2 (Nat.mul h sk.q)
 
 (* [public] is a transparent record, so verification contexts live in a
@@ -155,9 +161,11 @@ let sign sk msg =
   let k = modulus_bytes sk.pub in
   sign_one sk ~k msg
 
-let sign_batch sk msgs =
+let sign_batch ?pool sk msgs =
   let k = modulus_bytes sk.pub in
-  List.map (sign_one sk ~k) msgs
+  match pool with
+  | Some p when Worm_util.Pool.size p > 1 && List.length msgs > 1 -> Worm_util.Pool.map_list p (sign_one sk ~k) msgs
+  | _ -> List.map (sign_one sk ~k) msgs
 
 let verify pub ~msg ~signature =
   let k = modulus_bytes pub in

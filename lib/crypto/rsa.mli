@@ -18,12 +18,17 @@ val public_of : secret -> public
 
 val sign : secret -> string -> string
 (** [sign key msg] returns the PKCS#1 v1.5 signature over
-    [SHA-256(msg)], as a modulus-width byte string. *)
+    [SHA-256(msg)], as a modulus-width byte string. Domain-safe: each
+    call works on its own clone of the key's cached Montgomery contexts,
+    so concurrent signs under one key never share scratch. *)
 
-val sign_batch : secret -> string list -> string list
-(** [sign_batch key msgs] signs each message in order. Equivalent to
-    [List.map (sign key) msgs] but hoists the per-key setup so burst
-    witnessing and deferred-signature repayment pay it once. *)
+val sign_batch : ?pool:Worm_util.Pool.t -> secret -> string list -> string list
+(** [sign_batch ?pool key msgs] signs each message, results in input
+    order, and equals [List.map (sign key) msgs] byte for byte. With a
+    [pool] of size > 1 and more than one message the signatures fan out
+    across its domains — the SCPU's crypto engine signing a burst
+    (§4.3) or a deferred-strength repayment. Without one (or on a
+    single-domain pool) it runs in the caller. *)
 
 val verify : public -> msg:string -> signature:string -> bool
 (** Domain-safe: the per-key verification context cache keeps one

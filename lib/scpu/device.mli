@@ -80,16 +80,26 @@ val sign_weak : t -> string -> Worm_crypto.Cert.t * string
 (** Sign with the current short-lived key; returns its certificate. *)
 
 val sign_strong_batch : t -> string list -> string list
-(** [sign_strong_batch t msgs] signs every message with s in order.
-    Charges and counts one strong signature per message; the batch form
-    amortizes per-key setup across the burst (§4.3). *)
+(** [sign_strong_batch t msgs] signs every message with s, results in
+    order. Charges and counts one strong signature per message; the batch
+    form amortizes per-key setup across the burst (§4.3).
+
+    Every batch form fans its signatures out on one process-wide domain
+    pool, the model of the SCPU's crypto engine signing beside the host
+    (built on the first batch, with {!Worm_util.Pool.recommended_domains}
+    domains; a one-element batch signs in the caller). The signatures, the
+    ledger and the stats are exactly those of the sequential path: key
+    checks, charging and counting run in the caller before anything is
+    handed to the pool. *)
 
 val sign_deletion_batch : t -> string list -> string list
+(** Batch form of {!sign_deletion}; pooled like {!sign_strong_batch}. *)
 
 val sign_weak_batch : t -> string list -> Worm_crypto.Cert.t * string list
-(** Batch form of {!sign_weak}. The key is rotated (at most once) before
-    the batch, so every signature in it verifies under the single
-    returned certificate. *)
+(** Batch form of {!sign_weak}; pooled like {!sign_strong_batch}. The
+    key is rotated (at most once, in the caller) before the batch, so
+    every signature in it verifies under the single returned
+    certificate. *)
 
 val hmac_tag : t -> string -> string
 (** MAC under a device-internal key (fastest deferred mode, §4.3). Only

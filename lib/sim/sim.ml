@@ -652,7 +652,6 @@ type multi_client_result = {
   mc_fault_stats : Faulty.stats option;
   mc_requests : int;  (** completions the event run delivered (or gave up) *)
   mc_minor_words_per_req : float;  (** wire-path minor-heap words per request *)
-  mc_host_rps : float;  (** requests per second of real host CPU in the event run *)
 }
 
 (* Arrival times for a demand shape: each phase contributes
@@ -759,15 +758,12 @@ let multi_client ?(phases = default_day) ?(fault_rate = 0.08) ?(batch_size = 32)
                   | _ -> ())
           | _ -> ()))
     payloads;
-  (* Real-machine cost columns: the event server meters its own wire
+  (* Real-machine cost column: the event server meters its own wire
      path (request encode, frame decode, response encode/framing —
-     store dispatch and client callbacks excluded), and host CPU is
-     wall time of the whole event run. Virtual-time columns are
-     untouched — these measure the implementation, not the simulated
-     hardware. *)
-  let cpu0 = Sys.time () in
+     store dispatch and client callbacks excluded). Virtual-time columns
+     are untouched — this measures the implementation, not the
+     simulated hardware. *)
   Event_server.run es;
-  let host_cpu_s = Sys.time () -. cpu0 in
   let requests = List.length (Event_server.completions es) in
   let wire_words = Event_server.wire_minor_words es in
   let stats = Event_server.stats es in
@@ -813,7 +809,6 @@ let multi_client ?(phases = default_day) ?(fault_rate = 0.08) ?(batch_size = 32)
     mc_fault_stats = Option.map Faulty.stats faulty;
     mc_requests = requests;
     mc_minor_words_per_req = wire_words /. float_of_int (Stdlib.max 1 requests);
-    mc_host_rps = (if host_cpu_s <= 0. then 0. else float_of_int requests /. host_cpu_s);
   }
 
 let pp_latency fmt l =
@@ -857,7 +852,6 @@ type cluster_row = {
   cl_fingerprint_match : bool;
   cl_shard_rows : cluster_shard_row list;
   cl_minor_words_per_req : float;  (** wire-path minor-heap words per request, all shard loops *)
-  cl_host_rps : float;  (** requests per second of real host CPU across the shard loops *)
 }
 
 module Shard_router = Worm_cluster.Shard_router
@@ -937,7 +931,6 @@ let cluster_scaling ?(record_bytes = 1024) ?(records = 48) ?(strong_bits = 1024)
        alone would have taken; the cluster runs them in parallel, which
        is exactly what the max() aggregation below models. *)
     let wire_words = ref 0. and requests = ref 0 in
-    let cpu0 = Sys.time () in
     for s = 0 to n - 1 do
       let shard_srv =
         match Cluster_server.shard_server front s with
@@ -966,7 +959,6 @@ let cluster_scaling ?(record_bytes = 1024) ?(records = 48) ?(strong_bits = 1024)
       requests := !requests + List.length (Event_server.completions es);
       flushes := !flushes + (Event_server.stats es).Event_server.flushes
     done;
-    let host_cpu_s = Sys.time () -. cpu0 in
     (* burst ledgers, before idle maintenance muddies them *)
     let mets = Shard_router.metrics router in
     Clock.advance clk (Clock.ns_of_sec 1.);
@@ -1033,7 +1025,6 @@ let cluster_scaling ?(record_bytes = 1024) ?(records = 48) ?(strong_bits = 1024)
       cl_fingerprint_match = fp = seq_fp;
       cl_shard_rows = shard_rows;
       cl_minor_words_per_req = !wire_words /. float_of_int (Stdlib.max 1 !requests);
-      cl_host_rps = (if host_cpu_s <= 0. then 0. else float_of_int !requests /. host_cpu_s);
     }
   in
   let single_rps = ref None in

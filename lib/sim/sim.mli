@@ -166,7 +166,6 @@ type cluster_row = {
           loops (encode/decode/framing only; store dispatch and client
           callbacks excluded) — real-machine cost, not part of the
           virtual-time model *)
-  cl_host_rps : float;  (** requests per second of real host CPU across the shard loops *)
 }
 
 val cluster_scaling :
@@ -340,7 +339,6 @@ type multi_client_result = {
           server around its own encode/decode/framing work — store
           dispatch (signing, hashing, disk) and client callbacks are
           excluded. Real-machine cost, not part of the virtual model. *)
-  mc_host_rps : float;  (** requests per second of real host CPU in the event run *)
 }
 
 val multi_client :

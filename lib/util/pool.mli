@@ -1,4 +1,5 @@
-(** Fixed-size domain pool for host-side parallelism.
+(** Fixed-size domain pool for host-side parallelism and for the SCPU
+    model's crypto engine.
 
     The paper's read path is host-CPU-only (§4.2.2): verifying
     [metasig]/[datasig] witnesses and bound signatures costs the
@@ -19,8 +20,10 @@
 
     The pool itself is domain-safe; the work functions must be too.
     In this codebase that means: pure computation, {!Worm_crypto.Rsa}
-    verification (its context cache is per-domain), and the
-    mutex-guarded caches in {!Worm_core.Client}. Do not touch a
+    verification (its context cache is per-domain), {!Worm_crypto.Rsa}
+    signing (each call clones the key's contexts; the SCPU device signs
+    its batches on a shared pool), and the mutex-guarded caches in
+    {!Worm_core.Client}. Do not touch a
     {!Worm_core.Worm.t} (host Hashtbls are single-writer) from inside a
     pooled task. *)
 

@@ -163,26 +163,52 @@ let test_cert_codec () =
 (* Seeded keys and PKCS#1 signatures pinned byte for byte: a change to
    the bignum kernel, the CRT recombination or the prime search that
    alters a single key or signature bit fails here. *)
+let kat_expected =
+  [
+    (512, "3c536eb333ba6298", "57e5adbb22f26bee");
+    (1024, "36f33d3d46399ae6", "87fd1ed90967a7e3");
+    (1024, "24ff2c1793dbccce", "46200c955a862465");
+    (512, "1da813bd4a172dd6", "c24e2ac7a1d5b732");
+    (2048, "0fd18ce941529f0d", "1ac8f1852782dbba");
+  ]
+
+let kat_keys =
+  lazy
+    (let rng = Drbg.create ~seed:"kat" in
+     List.map (fun (bits, fingerprint, digest) -> (Rsa.generate rng ~bits, bits, fingerprint, digest)) kat_expected)
+
+let kat_msgs = [ ""; "abc"; String.make 4096 'x' ]
+let kat_digest sigs = String.sub (Worm_util.Hex.encode (Sha256.digest (String.concat "" sigs))) 0 16
+
 let test_known_answers () =
-  let rng = Drbg.create ~seed:"kat" in
-  let expected =
-    [
-      (512, "3c536eb333ba6298", "57e5adbb22f26bee");
-      (1024, "36f33d3d46399ae6", "87fd1ed90967a7e3");
-      (1024, "24ff2c1793dbccce", "46200c955a862465");
-      (512, "1da813bd4a172dd6", "c24e2ac7a1d5b732");
-      (2048, "0fd18ce941529f0d", "1ac8f1852782dbba");
-    ]
-  in
   List.iter
-    (fun (bits, fingerprint, digest) ->
-      let key = Rsa.generate rng ~bits in
+    (fun (key, bits, fingerprint, digest) ->
       let label = Printf.sprintf "rsa-%d %s" bits fingerprint in
       Alcotest.(check string) (label ^ " fingerprint") fingerprint (Rsa.fingerprint (Rsa.public_of key));
-      let sigs = String.concat "" (List.map (Rsa.sign key) [ ""; "abc"; String.make 4096 'x' ]) in
-      Alcotest.(check string) (label ^ " signatures") digest
-        (String.sub (Worm_util.Hex.encode (Sha256.digest sigs)) 0 16))
-    expected
+      Alcotest.(check string) (label ^ " signatures") digest (kat_digest (List.map (Rsa.sign key) kat_msgs)))
+    (Lazy.force kat_keys)
+
+(* Two domains signing under one key at once: every signature must be
+   the sequential one, and the known-answer messages must still give
+   the pinned digests. A signing context shared between domains
+   corrupts most signatures of a run this size. *)
+let test_concurrent_signing () =
+  let msgs = kat_msgs @ List.init 45 (Printf.sprintf "concurrent message %d") in
+  let first_three = function a :: b :: c :: _ -> [ a; b; c ] | _ -> Alcotest.fail "short batch" in
+  Worm_util.Pool.with_pool ~domains:2 (fun pool ->
+      List.iter
+        (fun (key, bits, fingerprint, digest) ->
+          let label = Printf.sprintf "rsa-%d %s" bits fingerprint in
+          let sequential = List.map (Rsa.sign key) msgs in
+          let mapped = Worm_util.Pool.map_list pool (Rsa.sign key) msgs in
+          let batched = Rsa.sign_batch ~pool key msgs in
+          Alcotest.(check (list string)) (label ^ " Pool.map_list = sequential") sequential mapped;
+          Alcotest.(check (list string)) (label ^ " sign_batch ~pool = sequential") sequential batched;
+          Alcotest.(check string) (label ^ " pooled known answers") digest (kat_digest (first_three batched));
+          Alcotest.(check (list string)) (label ^ " empty batch") [] (Rsa.sign_batch ~pool key []);
+          Alcotest.(check (list string)) (label ^ " one-element batch") [ Rsa.sign key "one" ]
+            (Rsa.sign_batch ~pool key [ "one" ]))
+        (Lazy.force kat_keys))
 
 let suite =
   [
@@ -201,6 +227,7 @@ let suite =
     ("cert tamper detected", `Quick, test_cert_tamper_detected);
     ("cert codec", `Quick, test_cert_codec);
     ("known-answer keys and signatures", `Quick, test_known_answers);
+    ("concurrent signing under one key", `Quick, test_concurrent_signing);
     QCheck_alcotest.to_alcotest prop_sign_verify;
     QCheck_alcotest.to_alcotest prop_signature_not_transferable;
   ]

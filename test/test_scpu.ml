@@ -119,31 +119,82 @@ let test_ledger_and_stats () =
   Alcotest.(check int) "hash ops" 1 st.Device.hash_ops;
   Alcotest.(check int) "dma bytes" 65536 st.Device.dma_bytes
 
+(* Batch output must be indistinguishable from the one-at-a-time path.
+   Each batch form signs on one device while its twin, provisioned from
+   the same seed, signs the same messages one at a time: signatures,
+   stats (but [sign_calls], one per batch against one per signature)
+   and ledgers must agree. On a host with more than one core every
+   batch here fans out on the crypto engine. *)
 let test_batch_signing () =
-  let dev, _ = fresh_device () in
-  let msgs = [ "r1"; "r2"; "r3" ] in
-  (* batch output must be indistinguishable from the one-at-a-time path *)
-  let batch = Device.sign_strong_batch dev msgs in
-  Alcotest.(check (list string)) "strong batch = sequential" (List.map (Device.sign_strong dev) msgs) batch;
-  Device.reset_busy dev;
-  let before = Device.stats dev in
-  let _ = Device.sign_strong_batch dev msgs in
-  let st = Device.stats dev in
-  Alcotest.(check int) "batch counts every signature" (before.Device.strong_signs + 3) st.Device.strong_signs;
+  let provision () =
+    let dev =
+      Device.provision ~seed:"batch" ~clock:(Clock.create ()) ~ca:(Lazy.force ca) ~config:Device.test_config
+        ~name:"scpu-batch" ()
+    in
+    Device.reset_busy dev;
+    dev
+  in
+  let msgs = List.init 8 (Printf.sprintf "record %d") in
+  let count = List.length msgs in
+  let check_twins label ~batch ~single =
+    let batched = provision () and one_by_one = provision () in
+    Alcotest.(check (list string)) (label ^ " batch = sequential") (List.map (single one_by_one) msgs) (batch batched msgs);
+    let sb = Device.stats batched and so = Device.stats one_by_one in
+    Alcotest.(check int) (label ^ ": one sign call per batch") 1 sb.Device.sign_calls;
+    Alcotest.(check int) (label ^ ": one sign call per signature") count so.Device.sign_calls;
+    Alcotest.(check bool) (label ^ ": stats otherwise equal") true
+      ({ sb with Device.sign_calls = 0 } = { so with Device.sign_calls = 0 });
+    Alcotest.(check int64) (label ^ ": busy_ns") (Device.busy_ns one_by_one) (Device.busy_ns batched);
+    batched
+  in
+  let dev = check_twins "strong" ~batch:Device.sign_strong_batch ~single:Device.sign_strong in
+  Alcotest.(check int) "batch counts every signature" count (Device.stats dev).Device.strong_signs;
   let per_sig = Cost_model.rsa_sign_ns (Device.config dev).Device.profile ~bits:(Device.config dev).Device.strong_bits in
-  Alcotest.(check int64) "batch charges per signature" (Int64.mul 3L per_sig) (Device.busy_ns dev);
+  Alcotest.(check int64) "batch charges per signature" (Int64.mul (Int64.of_int count) per_sig) (Device.busy_ns dev);
+  let verified cert sigs =
+    List.iter2
+      (fun msg signature -> Alcotest.(check bool) "batch member verifies" true (Rsa.verify cert.Cert.key ~msg ~signature))
+      msgs sigs;
+    sigs
+  in
   (* weak batch: one cert covers the whole batch *)
-  let cert, wsigs = Device.sign_weak_batch dev msgs in
+  ignore
+    (check_twins "weak"
+       ~batch:(fun d m ->
+         let cert, sigs = Device.sign_weak_batch d m in
+         verified cert sigs)
+       ~single:(fun d m -> snd (Device.sign_weak d m)));
+  ignore
+    (check_twins "deletion"
+       ~batch:(fun d m -> verified (Device.deletion_cert d) (Device.sign_deletion_batch d m))
+       ~single:Device.sign_deletion)
+
+let test_pooled_weak_batch_rotates_once () =
+  let dev, clock = fresh_device () in
+  let msgs = List.init 12 (Printf.sprintf "late record %d") in
+  let c0, _ = Device.sign_weak_batch dev msgs in
+  Clock.advance clock (Int64.add (Device.config dev).Device.weak_lifetime_ns 1L);
+  let c1, sigs = Device.sign_weak_batch dev msgs in
+  Alcotest.(check bool) "rotated" false (String.equal c0.Cert.subject c1.Cert.subject);
+  Alcotest.(check int) "rotated once" 1 (Device.stats dev).Device.weak_rotations;
+  Alcotest.(check bool) "new cert chains" true
+    (Cert.verify ~ca:(Device.signing_cert dev).Cert.key ~now:(Clock.now clock) c1);
   List.iter2
     (fun msg signature ->
-      Alcotest.(check bool) "weak batch member verifies" true (Rsa.verify cert.Cert.key ~msg ~signature))
-    msgs wsigs;
-  let dsigs = Device.sign_deletion_batch dev msgs in
-  let dcert = Device.deletion_cert dev in
-  List.iter2
-    (fun msg signature ->
-      Alcotest.(check bool) "deletion batch member verifies" true (Rsa.verify dcert.Cert.key ~msg ~signature))
-    msgs dsigs
+      Alcotest.(check bool) "verifies under the one returned cert" true (Rsa.verify c1.Cert.key ~msg ~signature))
+    msgs sigs
+
+let test_zeroized_batch_refused () =
+  let dev, _ = fresh_device () in
+  let msgs = List.init 12 (Printf.sprintf "refused record %d") in
+  Device.tamper_respond dev;
+  let busy = Device.busy_ns dev and stats = Device.stats dev in
+  Alcotest.check_raises "strong batch" Device.Tamper_detected (fun () -> ignore (Device.sign_strong_batch dev msgs));
+  Alcotest.check_raises "weak batch" Device.Tamper_detected (fun () -> ignore (Device.sign_weak_batch dev msgs));
+  Alcotest.check_raises "deletion batch" Device.Tamper_detected (fun () ->
+      ignore (Device.sign_deletion_batch dev msgs));
+  Alcotest.(check int64) "nothing charged" busy (Device.busy_ns dev);
+  Alcotest.(check bool) "nothing counted" true (stats = Device.stats dev)
 
 let test_of_measurements () =
   let p =
@@ -216,6 +267,8 @@ let suite =
     ("weak key rotation", `Quick, test_weak_key_rotation);
     ("ledger and stats", `Quick, test_ledger_and_stats);
     ("batch signing", `Quick, test_batch_signing);
+    ("pooled weak batch rotates once", `Quick, test_pooled_weak_batch_rotates_once);
+    ("zeroized batch refused", `Quick, test_zeroized_batch_refused);
     ("profile from measurements", `Quick, test_of_measurements);
     ("anchorless profile refused", `Quick, test_anchorless_profile);
     ("internal hmac", `Quick, test_hmac_internal);
