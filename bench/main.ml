@@ -681,7 +681,7 @@ let print_hash ~quick ~env:_ =
         (mb_per_sec size (fun () -> Chained_hash.add Chained_hash.empty block)))
     blocks;
   (* Zero-copy streaming: the same bytes fed through feed_sub in odd
-     4091-byte slices, as the blockdev/fs framing paths do. *)
+     4091-byte slices, as a caller hashing a frame in place does. *)
   List.iter
     (fun (size, block) ->
       row ~algo:"sha256" ~mode:"stream-sub" ~bytes:size

@@ -4,8 +4,8 @@
    reply is verified locally, and the host's attempts to lie — including
    a man-in-the-middle rewriting responses — are all caught.
 
-   Also shows the filesystem layer: the firm's documents live as
-   versioned write-once files over the same store.
+   The firm's documents are plain write-once records: an amended
+   document is a new record, and the original stays readable.
 
    Run with: dune exec examples/remote_audit.exe *)
 
@@ -26,18 +26,17 @@ let () =
   let device = Device.provision ~seed:"firm-scpu" ~clock ~ca ~name:"scpu-firm" () in
   let store = Worm.create ~device ~ca:(Rsa.public_of ca) () in
 
-  (* --- The firm's side: documents as versioned WORM files --- *)
-  let fs = Worm_fs.create store in
+  (* --- The firm's side: documents as WORM records --- *)
   let policy = Policy.of_regulation Policy.Sox in
-  ignore (Worm_fs.write_file fs ~policy ~path:"/filings/10-K-2025.pdf" "annual report, as filed");
-  ignore (Worm_fs.write_file fs ~policy ~path:"/board/minutes-2026-03.txt" "approved the acquisition");
-  let v1 = Worm_fs.write_file fs ~policy ~path:"/board/minutes-2026-06.txt" "discussed the writedown" in
-  (* an amended version is a NEW record; the original stays *)
-  let v2 = Worm_fs.write_file fs ~policy ~path:"/board/minutes-2026-06.txt" "discussed the writedown (amended)" in
-  Printf.printf "Firm stored %d files (%d records); June minutes have versions %d and %d\n"
-    (List.length (Worm_fs.list_files fs))
+  let store_doc body = Worm.write store ~policy ~blocks:[ body ] in
+  ignore (store_doc "10-K 2025: annual report, as filed");
+  ignore (store_doc "board minutes 2026-03: approved the acquisition");
+  let v1 = store_doc "board minutes 2026-06: discussed the writedown" in
+  (* an amendment is a NEW record; the original stays *)
+  let v2 = store_doc "board minutes 2026-06: discussed the writedown (amended)" in
+  Printf.printf "Firm stored %d records; the June minutes are record %s, amended as record %s\n"
     (Serial.to_int (Firmware.sn_current (Worm.firmware store)))
-    v1.Worm_fs.version v2.Worm_fs.version;
+    (Serial.to_string v1) (Serial.to_string v2);
 
   (* --- The wire --- *)
   let server = Server.create store in
@@ -62,10 +61,10 @@ let () =
   Printf.printf "  (%d bytes sent, %d received)\n" (Remote_client.bytes_sent rc)
     (Remote_client.bytes_received rc);
 
-  (* --- Both versions of the amended minutes are retrievable --- *)
-  (match Remote_client.read rc v1.Worm_fs.sn with
-  | Client.Valid_data { blocks = _ :: body; _ } ->
-      Printf.printf "\nOriginal June minutes (v1, over the wire): %S\n" (String.concat "" body)
+  (* --- The original of the amended minutes is still retrievable --- *)
+  (match Remote_client.read rc v1 with
+  | Client.Valid_data { blocks; _ } ->
+      Printf.printf "\nOriginal June minutes (over the wire): %S\n" (String.concat "" blocks)
   | v -> Printf.printf "v1: %s\n" (Client.verdict_name v));
 
   (* --- A man in the middle rewrites responses --- *)
@@ -86,7 +85,7 @@ let () =
     | Ok rc -> rc
     | Error e -> failwith e
   in
-  (match Remote_client.read rc_mitm v1.Worm_fs.sn with
+  (match Remote_client.read rc_mitm v1 with
   | Client.Violation vs ->
       Printf.printf "  tampered reply -> VIOLATION: %s\n"
         (String.concat "; " (List.map Client.violation_to_string vs))

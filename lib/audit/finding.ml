@@ -38,7 +38,6 @@ let subject_to_string = function
   | Backlog -> "backlog"
 
 let equal a b = a.subject = b.subject && a.cls = b.cls && String.equal a.detail b.detail
-let compare = Stdlib.compare
 let pp fmt t = Format.fprintf fmt "%s: %s (%s)" (subject_to_string t.subject) (cls_name t.cls) t.detail
 
 (* Dominance order: the most actionable symptom names the class. A

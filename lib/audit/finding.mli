@@ -30,7 +30,6 @@ val make : subject -> cls -> string -> t
 val cls_name : cls -> string
 val subject_to_string : subject -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val of_violations : Client.violation list -> cls

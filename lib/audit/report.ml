@@ -64,8 +64,3 @@ let to_json t =
   if t.findings <> [] then Buffer.add_string b "\n  ";
   Buffer.add_string b "]\n}";
   Buffer.contents b
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%s@," (summary t);
-  List.iter (fun f -> Format.fprintf fmt "  %a@," Finding.pp f) t.findings;
-  Format.fprintf fmt "@]"

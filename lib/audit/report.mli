@@ -25,5 +25,3 @@ val summary : t -> string
 
 val to_json : t -> string
 (** Stable JSON object (schema [worm-audit-report/1]). *)
-
-val pp : Format.formatter -> t -> unit

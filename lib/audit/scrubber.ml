@@ -43,7 +43,6 @@ let last_report t = t.last
 
 let fw t = Worm.firmware t.store
 let now t = Device.now (Firmware.device (fw t))
-let profile t = (Worm.config t.store).Worm.host_profile
 let signing_key t = (Firmware.signing_cert (fw t)).Cert.key
 
 let flag t subject cls detail = t.pass_findings <- Finding.make subject cls detail :: t.pass_findings
@@ -54,8 +53,8 @@ let flag t subject cls detail = t.pass_findings <- Finding.make subject cls deta
    (both witnesses, or a proof plus a bound) and a hash over whatever
    data came back. Billed to the store's host ledger so the simulator's
    audit-overhead section measures real contention with writes. *)
-let record_cost t blocks =
-  let p = profile t in
+let record_cost blocks =
+  let p = Worm.host_profile in
   let bytes = List.fold_left (fun acc b -> acc + String.length b) 0 blocks in
   Int64.add (Int64.mul 2L (Cost_model.rsa_verify_ns p ~bits:1024)) (Cost_model.hash_ns p ~bytes:(bytes + 40))
 
@@ -90,7 +89,7 @@ let classify t sn response verdict =
       (* Properly_erased is compliant: the cert verified, the tenant's
          records are provably unrecoverable — nothing to flag. *)
       ());
-  record_cost t (blocks_of response)
+  record_cost (blocks_of response)
 
 let check_sn t sn =
   let response = Worm.read t.store sn in
@@ -187,7 +186,7 @@ let check_backlogs t =
     (Worm.drain_audit_findings t.store)
 
 let cross_cutting_cost t =
-  let p = profile t in
+  let p = Worm.host_profile in
   (* Bounds, latest anchor, and per-window bound pairs: all public-key
      verifications. *)
   let windows = List.length (Worm.deletion_windows t.store) in

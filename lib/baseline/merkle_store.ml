@@ -19,7 +19,6 @@ let create ~device ~capacity =
   { device; tree; size = 0; root_sig; appends = 0 }
 
 let capacity t = Merkle.capacity t.tree
-let size t = t.size
 
 let append t data =
   if t.size >= capacity t then failwith "Merkle_store.append: full";

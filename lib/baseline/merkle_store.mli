@@ -19,7 +19,6 @@ val create : device:Worm_scpu.Device.t -> capacity:int -> t
     device at SCPU rates. *)
 
 val capacity : t -> int
-val size : t -> int
 
 val append : t -> string -> int
 (** Insert a record's data, recompute the root path, sign the new root.

@@ -69,8 +69,6 @@ let delete t id =
         Ok ()
       end
 
-let record_count t = Hashtbl.fold (fun _ m acc -> if m.deleted then acc else acc + 1) t.table 0
-
 module Raw = struct
   let tamper_and_fix_checksum t id blocks' =
     match Hashtbl.find_opt t.table id with

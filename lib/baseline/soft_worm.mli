@@ -32,8 +32,6 @@ val read : t -> record_id -> read_result
 val delete : t -> record_id -> (unit, string) result
 (** The software switch: refuses while retention lasts. *)
 
-val record_count : t -> int
-
 (** The insider, again with full physical access. *)
 module Raw : sig
   val tamper_and_fix_checksum : t -> record_id -> string list -> bool

@@ -171,33 +171,3 @@ let global_current t =
     in
     if coherent then Ok g
     else Error "shard current bounds are incoherent with a round-robin history"
-
-let global_base t =
-  (* Global g is provably gone iff its owner's base exceeds its local
-     serial; the smallest global not below its owner's base is the
-     cluster base. Scan globals from 1: the first not-below-base global
-     is at most (max local base) * n away. *)
-  let n = t.n_shards in
-  let bases = Array.make n Serial.zero in
-  List.iter (fun b -> bases.(b.shard_index) <- b.base.Firmware.sn) t.shards;
-  let limit = Array.fold_left (fun acc b -> max acc (Serial.to_int b)) 1 bases * n in
-  let rec scan g =
-    if g > limit then Serial.of_int limit
-    else
-      let s = Partition.shard_of ~shards:n (Serial.of_int g) in
-      let l = Partition.local_of ~shards:n (Serial.of_int g) in
-      if Serial.(l < bases.(s)) then scan (g + 1) else Serial.of_int g
-  in
-  scan 1
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>cluster proof: %d shard(s), epoch %d, digest %s@," t.n_shards t.epoch
-    (fingerprint t);
-  List.iter
-    (fun b ->
-      Format.fprintf fmt "  shard %d: store %s base=%d current=%d@," b.shard_index
-        (String.sub (Worm_util.Hex.encode b.store_id) 0 12)
-        (Serial.to_int b.base.Firmware.sn)
-        (Serial.to_int b.current.Firmware.sn))
-    t.shards;
-  Format.fprintf fmt "@]"

@@ -77,11 +77,6 @@ val global_current : t -> (Serial.t, string) result
     [Error] if the bounds are incoherent — no round-robin write history
     could have produced them (stale or replayed shard bound). *)
 
-val global_base : t -> Serial.t
-(** A conservative cluster base: the smallest global serial not below
-    every shard's base bound. Globals under it are provably deleted on
-    their owning shard. *)
-
 val fingerprint : t -> string
 (** Short hex fingerprint of [agg_digest] for logs and reports. *)
 
@@ -89,5 +84,3 @@ val encode : Worm_util.Codec.encoder -> t -> unit
 val decode : Worm_util.Codec.decoder -> t
 (** @raise Worm_util.Codec.Malformed if the digest does not match the
     re-encoded body — damaged aggregates fail at the codec boundary. *)
-
-val pp : Format.formatter -> t -> unit

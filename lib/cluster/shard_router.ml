@@ -332,9 +332,6 @@ let compact_shard t i =
         fence_unchecked s;
         0)
 
-let compact_windows t =
-  Array.fold_left (fun acc s -> acc + compact_shard t s.index) 0 t.shards
-
 let idle_tick t =
   Array.iter
     (fun s ->
@@ -345,14 +342,6 @@ let idle_tick t =
         | Fenced, _ -> (
             match serving_store_of s with Some store -> Worm.idle_tick store | None -> ())
       with Device.Tamper_detected -> fence_unchecked s)
-    t.shards
-
-let heartbeat t =
-  Array.iter
-    (fun s ->
-      match serving_store_of s with
-      | Some store -> ( try Worm.heartbeat store with Device.Tamper_detected -> fence_unchecked s)
-      | None -> ())
     t.shards
 
 let probe t =

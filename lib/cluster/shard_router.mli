@@ -160,16 +160,11 @@ val compact_shard : t -> int -> int
     the cluster epoch if anything was expelled. Returns entries
     expelled on the serving side. *)
 
-val compact_windows : t -> int
-(** {!compact_shard} across all shards; sum of expelled entries. *)
-
 val idle_tick : t -> unit
 (** One idle round on every shard (heartbeats, strengthening, audits,
     compaction are the per-store {!Worm_core.Worm.idle_tick}); shards
     found zeroized are fenced rather than propagating the tamper
     exception. *)
-
-val heartbeat : t -> unit
 
 (** {2 Failure handling} *)
 

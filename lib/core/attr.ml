@@ -76,10 +76,3 @@ let decode dec =
 
 let to_bytes t = Codec.encode encode t
 let equal a b = a = b
-
-let pp fmt t =
-  Format.fprintf fmt "attr[%a created=%Ld%s%s]" Policy.pp t.policy t.created_at
-    (if String.equal t.tenant "" then "" else " tenant=" ^ t.tenant)
-    (match t.litigation with
-    | Some hold -> Printf.sprintf " HELD:%s until %Ld" hold.lit_id hold.timeout
-    | None -> "")

@@ -66,4 +66,3 @@ val to_bytes : t -> string
 (** Canonical encoding (the signing input). *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -15,7 +15,6 @@ type t = { mutable entries : Key_set.t; by_sn : (Serial.t, int64) Hashtbl.t }
 let create () = { entries = Key_set.empty; by_sn = Hashtbl.create 64 }
 let length t = Key_set.cardinal t.entries
 let is_empty t = Key_set.is_empty t.entries
-let mem t sn = Hashtbl.mem t.by_sn sn
 
 let remove t sn =
   match Hashtbl.find_opt t.by_sn sn with

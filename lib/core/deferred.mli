@@ -18,7 +18,6 @@ val push : t -> sn:Serial.t -> deadline:int64 -> unit
 (** Re-pushing an SN replaces its deadline. *)
 
 val remove : t -> Serial.t -> bool
-val mem : t -> Serial.t -> bool
 
 val peek : t -> entry option
 (** Earliest deadline. *)

@@ -83,7 +83,7 @@ type t = {
   tenants : (string, tenant_state) Hashtbl.t;
 }
 
-let create ~device ~ca ?(vexp_capacity = 4096) () =
+let create ~device ~ca ~vexp_capacity =
   {
     dev = device;
     ca;

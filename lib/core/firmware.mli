@@ -77,10 +77,10 @@ type error =
 
 val error_to_string : error -> string
 
-val create : device:Worm_scpu.Device.t -> ca:Worm_crypto.Rsa.public -> ?vexp_capacity:int -> unit -> t
+val create : device:Worm_scpu.Device.t -> ca:Worm_crypto.Rsa.public -> vexp_capacity:int -> t
 (** [ca] is the root the firmware uses to validate litigation-authority
     certificates. [vexp_capacity] bounds the secure expiration schedule
-    (default 4096 entries). *)
+    in entries. *)
 
 val device : t -> Worm_scpu.Device.t
 val store_id : t -> string

@@ -57,23 +57,17 @@ let refresh_backups t =
     (Hashtbl.copy t.vrd_backups)
 
 let create ~primary ~mirror = { primary; mirror; pairs = Hashtbl.create 256; vrd_backups = Hashtbl.create 256 }
-let primary t = t.primary
 let mirror t = t.mirror
 
 let write ?witness ?tenant t ~policy ~blocks =
   (* Each store seals tenanted blocks under its own SCPU's key
      hierarchy — the key tables are independent device state, so an
-     erasure must reach both sides ({!erase_tenant}). *)
+     erasure must reach both sides ([Shard_router.erase_tenant]). *)
   let p = Worm.write ?witness ?tenant t.primary ~policy ~blocks in
   let m = Worm.write ?witness ?tenant t.mirror ~policy ~blocks in
   Hashtbl.replace t.pairs p m;
   backup_vrd t p;
   (p, m)
-
-let erase_tenant t ~tenant =
-  let cert = Worm.erase_tenant t.primary ~tenant in
-  ignore (Worm.erase_tenant t.mirror ~tenant : Firmware.erasure_cert);
-  cert
 
 let mirror_sn t sn = Hashtbl.find_opt t.pairs sn
 

@@ -24,7 +24,6 @@ type t
 val create : primary:Worm.t -> mirror:Worm.t -> t
 (** Both stores must trust the same CA. *)
 
-val primary : t -> Worm.t
 val mirror : t -> Worm.t
 
 val write :
@@ -37,13 +36,6 @@ val write :
 (** Write to both stores; returns (primary SN, mirror SN). A non-empty
     [tenant] seals each copy under the respective store's own per-tenant
     key hierarchy. *)
-
-val erase_tenant : t -> tenant:string -> Firmware.erasure_cert
-(** Crypto-erase the tenant on {e both} stores — the key hierarchies are
-    independent SCPU state, so a one-sided erasure would leave the
-    mirror able to decrypt. Returns the primary's certificate (the
-    mirror issues its own, retrievable via
-    {!Worm.erasure_cert_of}). Idempotent, like {!Worm.erase_tenant}. *)
 
 val mirror_sn : t -> Serial.t -> Serial.t option
 (** The mirror serial paired with a primary serial at {!write} time. *)

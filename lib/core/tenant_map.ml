@@ -32,7 +32,4 @@ let serials t tenant =
 let count t tenant =
   match Hashtbl.find_opt t.table tenant with Some set -> Serial.Set.cardinal !set | None -> 0
 
-let mem t ~tenant ~sn =
-  match Hashtbl.find_opt t.table tenant with Some set -> Serial.Set.mem sn !set | None -> false
-
 let tenants t = Hashtbl.fold (fun tenant _ acc -> tenant :: acc) t.table [] |> List.sort String.compare

@@ -16,6 +16,5 @@ val serials : t -> string -> Serial.t list
 (** Ascending. *)
 
 val count : t -> string -> int
-val mem : t -> tenant:string -> sn:Serial.t -> bool
 val tenants : t -> string list
 (** Tenants with at least one live record, sorted. *)

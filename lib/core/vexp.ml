@@ -14,7 +14,6 @@ let create ~capacity =
   if capacity <= 0 then invalid_arg "Vexp.create: non-positive capacity";
   { capacity; entries = Entry_set.empty; by_sn = Hashtbl.create 64 }
 
-let capacity t = t.capacity
 let length t = Entry_set.cardinal t.entries
 let is_full t = length t >= t.capacity
 let mem t sn = Hashtbl.mem t.by_sn sn

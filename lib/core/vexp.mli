@@ -12,7 +12,6 @@ type t
 val create : capacity:int -> t
 (** @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : t -> int
 val length : t -> int
 val is_full : t -> bool
 

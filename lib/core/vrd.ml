@@ -49,7 +49,3 @@ let encoded_size t =
   + (4 + (8 * List.length t.rdl))
   + (4 + String.length t.data_hash)
   + Witness.encoded_size t.metasig + Witness.encoded_size t.datasig
-
-let pp fmt t =
-  Format.fprintf fmt "vrd[%a %a rds=%d meta=%a data=%a]" Serial.pp t.sn Attr.pp t.attr (List.length t.rdl)
-    Witness.pp t.metasig Witness.pp t.datasig

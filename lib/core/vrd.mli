@@ -32,4 +32,3 @@ val encoded_size : t -> int
     table sizing goes through this instead of serializing every entry. *)
 
 val of_bytes : string -> (t, string) result
-val pp : Format.formatter -> t -> unit

@@ -46,5 +46,3 @@ let decode dec =
       Weak { cert; signature }
   | 2 -> Mac (Codec.read_bytes dec)
   | n -> raise (Codec.Malformed (Printf.sprintf "bad witness tag %d" n))
-
-let pp fmt t = Format.pp_print_string fmt (strength_name (strength t))

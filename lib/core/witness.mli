@@ -26,4 +26,3 @@ val encoded_size : t -> int
 (** Byte length of [encode]'s output, computed without encoding. *)
 
 val decode : Worm_util.Codec.decoder -> t
-val pp : Format.formatter -> t -> unit

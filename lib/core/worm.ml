@@ -9,27 +9,30 @@ type datasig_mode = Scpu_hashes | Host_hash
 type config = {
   datasig_mode : datasig_mode;
   default_witness : Firmware.witness_mode;
-  heartbeat_interval_ns : int64;
-  host_profile : Cost_model.profile;
   vexp_capacity : int;
   dedup : bool;
   journal : bool;
   encrypt_at_rest : bool;
-  idle_audit_budget : int;
 }
 
 let default_config =
   {
     datasig_mode = Scpu_hashes;
     default_witness = Firmware.Strong_now;
-    heartbeat_interval_ns = Clock.ns_of_sec 60.;
-    host_profile = Cost_model.host_p4;
     vexp_capacity = 4096;
     dedup = false;
     journal = false;
     encrypt_at_rest = false;
-    idle_audit_budget = 256;
   }
+
+(* §4.2.1 option ii: the current bound's timestamp is refreshed "every
+   few minutes"; a bound older than this is re-signed before it is served. *)
+let heartbeat_interval_ns = Clock.ns_of_sec 60.
+let host_profile = Cost_model.host_p4
+
+(* Most [Host_hash] audits one idle tick drains, so a huge audit backlog
+   cannot starve deferred strengthening. *)
+let idle_audit_budget = 256
 
 type t = {
   config : config;
@@ -60,7 +63,7 @@ let create ?(config = default_config) ?disk ~device ~ca () =
     | Some d -> d
     | None -> Disk.create ()
   in
-  let fw = Firmware.create ~device ~ca ~vexp_capacity:config.vexp_capacity () in
+  let fw = Firmware.create ~device ~ca ~vexp_capacity:config.vexp_capacity in
   {
     config;
     fw;
@@ -80,7 +83,6 @@ let create ?(config = default_config) ?disk ~device ~ca () =
     audit_findings = [];
   }
 
-let config t = t.config
 let firmware t = t.fw
 let disk t = t.disk
 let vrdt t = t.vrdt
@@ -121,7 +123,7 @@ let apply_cipher t ~(attr : Attr.t) cipher ~sn blocks =
       let tenanted = not (String.equal attr.Attr.tenant "") in
       List.mapi
         (fun index b ->
-          if tenanted then charge_host t (Cost_model.hash_ns t.config.host_profile ~bytes:(String.length b));
+          if tenanted then charge_host t (Cost_model.hash_ns host_profile ~bytes:(String.length b));
           Vault.seal v ~sn ~index b)
         blocks
 
@@ -156,7 +158,7 @@ let host_chained_hash t blocks =
      hashes the block plus the 40-byte chain prefix. *)
   List.fold_left
     (fun acc block ->
-      charge_host t (Cost_model.hash_ns t.config.host_profile ~bytes:(String.length block + 40));
+      charge_host t (Cost_model.hash_ns host_profile ~bytes:(String.length block + 40));
       Chained_hash.add acc block)
     Chained_hash.empty blocks
 
@@ -332,7 +334,7 @@ let heartbeat t =
   | None -> ()
 
 let current_bound_aged t =
-  Int64.compare (Int64.sub (now t) t.current_cache.Firmware.timestamp) t.config.heartbeat_interval_ns > 0
+  Int64.compare (Int64.sub (now t) t.current_cache.Firmware.timestamp) heartbeat_interval_ns > 0
 
 (* The one freshness rule for the served SN_current bound. A bound that
    predates recent writes would truncate an audit walk (or undercount a
@@ -657,7 +659,7 @@ let idle_tick t =
   ignore (strengthen_pending t ());
   (* Budgeted: a huge Host_hash backlog must not starve the rest of the
      tick (deferred strengthening ran first, vexp/window work follows). *)
-  ignore (run_audits t ~max:t.config.idle_audit_budget ());
+  ignore (run_audits t ~max:idle_audit_budget ());
   ignore (refeed_vexp t);
   ignore (compact_windows t)
 

@@ -17,10 +17,6 @@ type datasig_mode =
 type config = {
   datasig_mode : datasig_mode;
   default_witness : Firmware.witness_mode;
-  heartbeat_interval_ns : int64;
-      (** how often the current bound's timestamp is refreshed (§4.2.1
-          option ii: "every few minutes") *)
-  host_profile : Worm_scpu.Cost_model.profile;
   vexp_capacity : int;
   dedup : bool;
       (** content-addressed block sharing (§4.2 overlapping VRs): equal
@@ -32,14 +28,21 @@ type config = {
   encrypt_at_rest : bool;
       (** seal data blocks with the {!Vault} before they reach the disk
           (media-theft confidentiality); incompatible with [dedup] *)
-  idle_audit_budget : int;
-      (** max [Host_hash] audits drained per {!idle_tick}, so a huge
-          audit backlog cannot starve deferred strengthening *)
 }
 
 val default_config : config
-(** SCPU-side hashing, strong witnesses, 60 s heartbeat, P4 host, no
-    dedup. *)
+(** SCPU-side hashing, strong witnesses, a 4096-entry VEXP, no dedup,
+    no journal, no encryption at rest.
+
+    Fixed for every store: the current bound is re-signed once it is
+    older than 60 s (§4.2.1 option ii: "every few minutes"), host work is
+    charged at {!host_profile} rates, and one {!idle_tick} drains at most
+    256 [Host_hash] audits, so a huge audit backlog cannot starve
+    deferred strengthening. *)
+
+val host_profile : Worm_scpu.Cost_model.profile
+(** The host CPU the virtual ledger charges host-side hashing to
+    ({!Worm_scpu.Cost_model.host_p4}). *)
 
 type t
 
@@ -53,7 +56,6 @@ val create :
 (** @raise Invalid_argument if the configuration enables both [dedup]
     and [encrypt_at_rest]. *)
 
-val config : t -> config
 val firmware : t -> Firmware.t
 (** Exposed for clients needing certificates and for the simulator;
     {!Firmware.t} only offers the trusted entry points, so host code
@@ -181,7 +183,7 @@ val heartbeat : t -> unit
 
 val refresh_current_bound : t -> unit
 (** {!heartbeat} if the SCPU counter has moved past the cached current
-    bound or the bound is older than [heartbeat_interval_ns]; otherwise
+    bound or the bound is older than 60 s; otherwise
     nothing. The one freshness rule for every reply that carries
     [SN_current] (an audit slice, a read above the counter, a cluster
     freshness proof); convergent — a second call at the same store state
@@ -293,7 +295,7 @@ val host_busy_ns : t -> int64
 val reset_host_busy : t -> unit
 val cached_current_bound : t -> Firmware.current_bound
 (** The cached current bound, re-signed only once it is older than
-    [heartbeat_interval_ns] (see {!refresh_current_bound} for the rule
+    60 s (see {!refresh_current_bound} for the rule
     that also tracks the counter). *)
 
 val cached_base_bound : t -> Firmware.base_bound

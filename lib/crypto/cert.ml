@@ -2,12 +2,6 @@ module Codec = Worm_util.Codec
 
 type role = Scpu_signing | Scpu_deletion | Scpu_short_term | Regulation_authority
 
-let role_to_string = function
-  | Scpu_signing -> "scpu-signing"
-  | Scpu_deletion -> "scpu-deletion"
-  | Scpu_short_term -> "scpu-short-term"
-  | Regulation_authority -> "regulation-authority"
-
 let role_tag = function
   | Scpu_signing -> 0
   | Scpu_deletion -> 1
@@ -63,6 +57,3 @@ let decode dec =
   let not_after = Codec.read_u64 dec in
   let signature = Codec.read_bytes dec in
   { subject; role; key; not_before; not_after; signature }
-
-let pp fmt t =
-  Format.fprintf fmt "cert[%s/%s key=%a]" t.subject (role_to_string t.role) Rsa.pp_public t.key

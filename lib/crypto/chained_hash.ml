@@ -28,4 +28,3 @@ let add_sub t s ~pos ~len =
 let of_blocks blocks = List.fold_left add empty blocks
 let value t = t
 let equal (a : t) (b : t) = Worm_util.Ct.equal a b
-let pp fmt t = Format.pp_print_string fmt (Worm_util.Hex.encode t)

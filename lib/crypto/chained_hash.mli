@@ -25,4 +25,3 @@ val value : t -> string
 (** 32-byte chain value. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 module type HASH = sig
   type ctx
 
-  val digest_size : int
   val block_size : int
   val init : unit -> ctx
   val feed : ctx -> string -> unit

@@ -1,4 +1,4 @@
-(** HMAC (RFC 2104) over any of the hashes in this library.
+(** HMAC (RFC 2104) over SHA-256 and SHA-1.
 
     HMACs back the paper's fastest deferred-witnessing mode (§4.3): during
     bursts the SCPU MACs records with an internal key instead of signing,
@@ -7,27 +7,6 @@
     The implementation is streaming: the inner and outer key pads are
     precomputed and fed through the hash contexts directly, so MACing
     never concatenates pad + message into a fresh string. *)
-
-module type HASH = sig
-  type ctx
-
-  val digest_size : int
-  val block_size : int
-  val init : unit -> ctx
-  val feed : ctx -> string -> unit
-  val feed_sub : ctx -> string -> pos:int -> len:int -> unit
-  val get : ctx -> string
-  val digest : string -> string
-end
-
-module Make (H : HASH) : sig
-  val mac : key:string -> string -> string
-  val mac_parts : key:string -> string list -> string
-  (** MAC of the concatenation of the parts, without concatenating. *)
-
-  val mac_sub : key:string -> string -> pos:int -> len:int -> string
-  (** MAC of a substring, fed zero-copy via {!HASH.feed_sub}. *)
-end
 
 val sha256 : key:string -> string -> string
 (** HMAC-SHA-256; 32-byte output. *)

@@ -209,7 +209,6 @@ let divmod (a : t) (b : t) =
     (normalize q, !r)
   end
 
-let div a b = fst (divmod a b)
 let modulo a b = snd (divmod a b)
 
 (* Horner over the limbs, most significant first: r < d <= 2^32 keeps
@@ -548,5 +547,3 @@ let to_decimal a =
     in
     String.concat "" (go a [])
   end
-
-let pp fmt a = Format.pp_print_string fmt (to_decimal a)

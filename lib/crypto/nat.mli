@@ -45,7 +45,6 @@ val mul : t -> t -> t
 val divmod : t -> t -> t * t
 (** [divmod a b] is [(a / b, a mod b)]. @raise Division_by_zero. *)
 
-val div : t -> t -> t
 val modulo : t -> t -> t
 
 val bit_length : t -> int
@@ -128,4 +127,3 @@ val of_decimal : string -> t
 (** @raise Invalid_argument on empty or non-digit input. *)
 
 val to_decimal : t -> string
-val pp : Format.formatter -> t -> unit

@@ -352,35 +352,17 @@ let word_be out off v =
   Bytes.unsafe_set out (off + 2) (Char.unsafe_chr ((v lsr 8) land 0xff));
   Bytes.unsafe_set out (off + 3) (Char.unsafe_chr (v land 0xff))
 
-let digest_into ctx out ~pos =
-  if pos < 0 || pos > Bytes.length out - digest_size then invalid_arg "Sha1.digest_into: out of bounds";
-  finalize ctx;
-  word_be out pos ctx.h0;
-  word_be out (pos + 4) ctx.h1;
-  word_be out (pos + 8) ctx.h2;
-  word_be out (pos + 12) ctx.h3;
-  word_be out (pos + 16) ctx.h4
-
 let get ctx =
+  finalize ctx;
   let out = Bytes.create digest_size in
-  digest_into ctx out ~pos:0;
+  word_be out 0 ctx.h0;
+  word_be out 4 ctx.h1;
+  word_be out 8 ctx.h2;
+  word_be out 12 ctx.h3;
+  word_be out 16 ctx.h4;
   Bytes.unsafe_to_string out
 
-let digest_sub s ~pos ~len =
+let digest s =
   let ctx = init () in
-  feed_sub ctx s ~pos ~len;
+  feed ctx s;
   get ctx
-
-let digest s = digest_sub s ~pos:0 ~len:(String.length s)
-
-let digest_parts parts =
-  let ctx = init () in
-  List.iter (fun s -> feed_sub ctx s ~pos:0 ~len:(String.length s)) parts;
-  get ctx
-
-let digest_many ?pool inputs =
-  match pool with
-  | Some p when Worm_util.Pool.size p > 1 && Array.length inputs > 1 -> Worm_util.Pool.parallel_map p digest inputs
-  | _ -> Array.map digest inputs
-
-let hex_digest s = Worm_util.Hex.encode (digest s)

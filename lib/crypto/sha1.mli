@@ -9,9 +9,6 @@
 
 type ctx
 
-val digest_size : int
-(** 20 bytes. *)
-
 val block_size : int
 (** 64 bytes. *)
 
@@ -27,16 +24,4 @@ val get : ctx -> string
 (** Finalize and return the 20-byte digest. The context is dead
     afterwards: any further use raises [Invalid_argument]. *)
 
-val digest_into : ctx -> Bytes.t -> pos:int -> unit
-(** Finalize into [out] at [pos]; see {!Sha256.digest_into}. *)
-
 val digest : string -> string
-val digest_sub : string -> pos:int -> len:int -> string
-
-val digest_parts : string list -> string
-(** Digest the concatenation of the parts without concatenating them. *)
-
-val digest_many : ?pool:Worm_util.Pool.t -> string array -> string array
-(** Multi-buffer hashing over the domain pool; see {!Sha256.digest_many}. *)
-
-val hex_digest : string -> string

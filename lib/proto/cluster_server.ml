@@ -24,7 +24,6 @@ let create ?(limits = Server.default_limits) router =
     m_hello = None;
   }
 
-let router t = t.router
 
 (* A fenced shard (primary dead, mirror not yet promoted) yields [None]:
    the dispatcher must surface that as a protocol-level refusal, never
@@ -132,6 +131,13 @@ let same_proof (a : Cluster_proof.t) (b : Cluster_proof.t) =
 
 let same_shard_cert (id, sc, dc) (id', sc', dc') = id == id' && sc == sc' && dc == dc'
 
+(* Encode through the cluster's encode-once caches: the aggregated
+   freshness proof and the cluster hello ack are re-encoded only when
+   some signed leaf inside them (a cert or a shard bound record) actually
+   changed, decided by physical equality on the records the stores hand
+   out, so a heartbeat or failover invalidates the cache by itself.
+   Shard-served read responses share one [Server] read memo across all
+   shards. Bytes are identical to [Message.encode_response]. *)
 let encode_response t response =
   match response with
   | Message.Cluster_proof_reply proof -> begin

@@ -21,7 +21,6 @@ module Cluster_proof = Worm_cluster.Cluster_proof
 type t
 
 val create : ?limits:Server.limits -> Router.t -> t
-val router : t -> Router.t
 
 val shard_server : t -> int -> Server.t option
 (** The per-shard dispatcher over the shard's current serving store, or
@@ -44,13 +43,3 @@ val handle_bytes : t -> string -> string
     shard's counter (found through {!Worm_cluster.Partition}), or a
     [Cluster_proof_get], which refreshes every shard inside
     {!Worm_cluster.Shard_router.freshness_proof}. *)
-
-val encode_response : t -> Message.response -> string
-(** Encode through the cluster's encode-once caches: the aggregated
-    freshness proof and the cluster hello ack are re-encoded only when
-    some signed leaf inside them (a cert or a shard bound record)
-    actually changed — decided by physical equality on the records the
-    stores hand out, so a heartbeat or failover invalidates the cache
-    automatically. Shard-served read responses share one {!Server}
-    read memo across all shards. Bytes are identical to
-    {!Message.encode_response}. *)

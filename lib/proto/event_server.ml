@@ -5,28 +5,21 @@ module Disk = Worm_simdisk.Disk
 
 type witness_policy = Fixed of Firmware.witness_mode | Adaptive of Adaptive.t
 
-type config = {
-  batch_size : int;
-  batch_deadline_ns : int64;
-  debt_ceiling : int;
-  drain_chunk : int;
-  shed_retry_ns : int64;
-  retry_backoff_ns : int64;
-  max_attempts : int;
-  witness : witness_policy;
-}
+type config = { batch_size : int; debt_ceiling : int; max_attempts : int; witness : witness_policy }
 
-let default_config =
-  {
-    batch_size = 32;
-    batch_deadline_ns = Clock.ns_of_ms 2.;
-    debt_ceiling = 4096;
-    drain_chunk = 32;
-    shed_retry_ns = Clock.ns_of_ms 5.;
-    retry_backoff_ns = Clock.ns_of_ms 1.;
-    max_attempts = 5;
-    witness = Fixed Firmware.Strong_now;
-  }
+let default_config = { batch_size = 32; debt_ceiling = 4096; max_attempts = 5; witness = Fixed Firmware.Strong_now }
+
+(* A batch is flushed this long after it opened, if it has not filled. *)
+let batch_deadline_ns = Clock.ns_of_ms 2.
+
+(* Deferred strengthenings paid per shed slot. *)
+let drain_chunk = 32
+
+(* The retry-after hint of a [Busy] reply, honoured by clients. *)
+let shed_retry_ns = Clock.ns_of_ms 5.
+
+(* Client resend backoff per lost frame, times the attempt number. *)
+let retry_backoff_ns = Clock.ns_of_ms 1.
 
 type outcome = Replied of Message.response | Gave_up
 
@@ -86,7 +79,7 @@ let create ?(config = default_config) ?ingress ~clock ~net server =
     worm = Server.store server;
     clock;
     net;
-    config = { config with drain_chunk = Stdlib.max 1 config.drain_chunk };
+    config;
     ingress;
     queue = Pq.empty;
     seq = 0;
@@ -99,7 +92,6 @@ let create ?(config = default_config) ?ingress ~clock ~net server =
     wire_minor_words = 0.;
   }
 
-let server t = t.server
 let stats t = t.stats
 let completions t = List.rev t.completions
 let wire_minor_words t = t.wire_minor_words
@@ -230,14 +222,14 @@ let flush t ~now =
 let shed_write t job ~start =
   t.stats <- { t.stats with shed = t.stats.shed + 1 };
   let before = busy_total t in
-  let repaid = Worm.strengthen_pending t.worm ~max:t.config.drain_chunk () in
+  let repaid = Worm.strengthen_pending t.worm ~max:drain_chunk () in
   t.stats <- { t.stats with strengthened = t.stats.strengthened + repaid };
   let finished = Int64.add start (Int64.sub (busy_total t) before) in
   t.free_at <- finished;
   let busy_len =
-    metered t (fun () -> Message.response_wire_length (Message.Busy { retry_after_ns = t.config.shed_retry_ns }))
+    metered t (fun () -> Message.response_wire_length (Message.Busy { retry_after_ns = shed_retry_ns }))
   in
-  let retry_at = Int64.add (Int64.add finished (Netsim.one_way_ns t.net ~bytes:busy_len)) t.config.shed_retry_ns in
+  let retry_at = Int64.add (Int64.add finished (Netsim.one_way_ns t.net ~bytes:busy_len)) shed_retry_ns in
   Netsim.note_exchange t.net
     ~bytes:(String.length job.j_bytes + busy_len)
     ~wait_ns:(Int64.sub retry_at job.j_submitted);
@@ -260,7 +252,7 @@ let process_arrival t ~now job =
   | None ->
       if attempts >= t.config.max_attempts then give_up t job ~attempts ~now:start
       else begin
-        let backoff = Int64.mul (Int64.of_int attempts) t.config.retry_backoff_ns in
+        let backoff = Int64.mul (Int64.of_int attempts) retry_backoff_ns in
         enqueue t ~at:(Int64.add start backoff) (Arrival { job with j_attempts = attempts })
       end
   | Some (Message.Write { policy = _; tenant; blocks = _ }) when tenant <> "" && Worm.tenant_is_erased t.worm tenant ->
@@ -279,7 +271,7 @@ let process_arrival t ~now job =
       else begin
         t.pending <- { pw_job = job; pw_policy = policy; pw_tenant = tenant; pw_blocks = blocks } :: t.pending;
         t.pending_count <- t.pending_count + 1;
-        if t.pending_count = 1 then enqueue t ~at:(Int64.add start t.config.batch_deadline_ns) (Flush t.batch_gen);
+        if t.pending_count = 1 then enqueue t ~at:(Int64.add start batch_deadline_ns) (Flush t.batch_gen);
         if t.pending_count >= t.config.batch_size then flush t ~now:start
       end
   | Some request ->

@@ -38,18 +38,19 @@ type witness_policy =
 
 type config = {
   batch_size : int;  (** flush when this many writes are queued *)
-  batch_deadline_ns : int64;  (** …or this long after the batch opened *)
   debt_ceiling : int;  (** shed writes past this deferred-ledger depth *)
-  drain_chunk : int;  (** strengthenings paid per shed slot (min 1) *)
-  shed_retry_ns : int64;  (** Busy retry-after hint, honored by clients *)
-  retry_backoff_ns : int64;  (** client resend backoff per lost frame *)
   max_attempts : int;  (** resends before a client gives up *)
   witness : witness_policy;
 }
 
 val default_config : config
-(** 32-write batches, 2 ms deadline, 4096 debt ceiling, 5 attempts,
-    fixed [Strong_now] witnesses. *)
+(** 32-write batches, 4096 debt ceiling, 5 attempts, fixed [Strong_now]
+    witnesses.
+
+    Fixed for every loop: a batch that has not filled is flushed 2 ms
+    after it opened; a shed slot repays 32 deferred strengthenings; a
+    {!Message.Busy} reply tells the client to retry after 5 ms; and a
+    client resends a lost frame after 1 ms times the attempt number. *)
 
 type outcome =
   | Replied of Message.response
@@ -88,7 +89,6 @@ val run : t -> unit
 (** Drain the event queue to empty (including retries and follow-ups),
     advancing the shared clock monotonically. *)
 
-val server : t -> Server.t
 val stats : t -> stats
 
 val completions : t -> completion list

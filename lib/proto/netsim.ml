@@ -49,8 +49,3 @@ let charge_ns t ns =
 let requests t = t.requests
 let bytes_transferred t = t.bytes
 let elapsed_ns t = t.elapsed_ns
-
-let reset t =
-  t.requests <- 0;
-  t.bytes <- 0;
-  t.elapsed_ns <- 0L

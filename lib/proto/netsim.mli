@@ -43,5 +43,3 @@ val requests : t -> int
 val bytes_transferred : t -> int
 val elapsed_ns : t -> int64
 (** Accumulated virtual wire time: requests x RTT + bytes / bandwidth. *)
-
-val reset : t -> unit

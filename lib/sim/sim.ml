@@ -40,9 +40,6 @@ let make_env ?(profile = Cost_model.ibm_4764) ?(strong_bits = 1024) ?(weak_bits 
   let dev = Device.provision ~seed ~clock:clk ~ca ~config ~name:"sim-scpu" () in
   { ca; dev; clk; rng }
 
-let device env = env.dev
-let clock env = env.clk
-
 let sec ns = Int64.to_float ns /. 1e9
 
 let run_write_burst env ~mode ~record_bytes ~records ?(disk_latency = Disk.fast_latency) () =
@@ -724,13 +721,7 @@ let multi_client ?(phases = default_day) ?(fault_rate = 0.08) ?(batch_size = 32)
   in
   let controller = Worm_core.Adaptive.create ~profile:(Device.config env.dev).Device.profile ~device_config:(Device.config env.dev) () in
   let es_config =
-    {
-      Event_server.default_config with
-      batch_size;
-      debt_ceiling;
-      max_attempts = 10;
-      witness = Event_server.Adaptive controller;
-    }
+    { Event_server.batch_size; debt_ceiling; max_attempts = 10; witness = Event_server.Adaptive controller }
   in
   let es = Event_server.create ~config:es_config ?ingress:(Option.map Faulty.transport faulty) ~clock:env.clk ~net server in
   let verifier = Client.for_store ~ca:(Rsa.public_of env.ca) ~clock:env.clk store in

@@ -55,9 +55,6 @@ type env
 
 val make_env : ?profile:Worm_scpu.Cost_model.profile -> ?strong_bits:int -> ?weak_bits:int -> seed:string -> unit -> env
 
-val device : env -> Worm_scpu.Device.t
-val clock : env -> Worm_simclock.Clock.t
-
 val run_write_burst :
   env ->
   mode:mode ->

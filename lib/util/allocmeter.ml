@@ -1,10 +1,5 @@
 let minor_words = Gc.minor_words
 
-let measure f =
-  let w0 = Gc.minor_words () in
-  let v = f () in
-  (v, Gc.minor_words () -. w0)
-
 let per_op ~ops f =
   if ops <= 0 then invalid_arg "Allocmeter.per_op";
   let w0 = Gc.minor_words () in

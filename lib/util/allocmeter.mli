@@ -9,10 +9,6 @@
 val minor_words : unit -> float
 (** Words allocated on this domain's minor heap since program start. *)
 
-val measure : (unit -> 'a) -> 'a * float
-(** [measure f] runs [f] and returns its result paired with the minor
-    words allocated during the call. *)
-
 val per_op : ops:int -> (unit -> unit) -> float
 (** [per_op ~ops f] runs [f] [ops] times and returns the mean minor
     words allocated per call. @raise Invalid_argument if [ops <= 0]. *)

@@ -25,7 +25,6 @@ let be64 v = if Sys.big_endian then v else swap64 v
 let initial_capacity = 256
 let make () = { buf = Bytes.create initial_capacity; len = 0 }
 let encoder () = make ()
-let reset e = e.len <- 0
 let length e = e.len
 let to_string e = Bytes.sub_string e.buf 0 e.len
 

@@ -6,7 +6,7 @@
 
     The implementation is the zero-copy wire core: encoders write into
     a growable preallocated [Bytes] with unsafe big-endian word stores
-    and can be reset and reused (a small per-domain pool backs
+    and are reused (a small per-domain pool backs
     {!with_encoder}/{!encode}); decoders can expose length-prefixed
     fields as {!slice} views over the input instead of [String.sub]
     copies, feeding the [feed_sub]/[digest_sub] zero-copy hash API.
@@ -18,9 +18,6 @@ type encoder
 
 val encoder : unit -> encoder
 (** A fresh, unpooled encoder, for long-lived accumulators. *)
-
-val reset : encoder -> unit
-(** Forget the contents; keeps the underlying buffer for reuse. *)
 
 val length : encoder -> int
 (** Bytes written so far. *)
@@ -81,8 +78,6 @@ val decoder : string -> decoder
 val decoder_sub : string -> pos:int -> len:int -> decoder
 (** Cursor over a window of [s], no copy.
     @raise Invalid_argument if the range is outside [s]. *)
-
-val remaining : decoder -> int
 
 val read_u8 : decoder -> int
 val read_u16 : decoder -> int

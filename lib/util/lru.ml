@@ -16,7 +16,6 @@ let create capacity =
   if capacity < 0 then invalid_arg "Lru.create: negative capacity";
   { capacity; tbl = Hashtbl.create (max 16 capacity); tick = 0 }
 
-let capacity t = t.capacity
 let length t = Hashtbl.length t.tbl
 
 let touch t stamp =

@@ -17,7 +17,6 @@ type ('k, 'v) t
 val create : int -> ('k, 'v) t
 (** @raise Invalid_argument on a negative capacity. *)
 
-val capacity : ('k, 'v) t -> int
 val length : ('k, 'v) t -> int
 
 val find : ('k, 'v) t -> 'k -> 'v option

@@ -7,11 +7,8 @@
     mixes that produce out-of-order expirations (§4.2.1 multiple-window
     behavior). *)
 
-val default_block_size : int
-(** 64 KiB — records larger than this are split across blocks. *)
-
 val record : Worm_crypto.Drbg.t -> bytes:int -> string list
-(** Pseudorandom record payload split into blocks. *)
+(** Pseudorandom record payload split into 64 KiB blocks. *)
 
 val figure1_sizes : int list
 (** Record sizes swept in Figure 1: 1 KiB to 256 KiB, powers of two. *)

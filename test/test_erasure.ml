@@ -15,6 +15,7 @@ module Cluster_proof = Worm_cluster.Cluster_proof
 module Message = Worm_proto.Message
 module Server = Worm_proto.Server
 module Cluster_server = Worm_proto.Cluster_server
+module Remote_client = Worm_proto.Remote_client
 
 let policy () = short_policy ~retention_s:10_000. ()
 
@@ -189,6 +190,53 @@ let test_erasure_over_the_wire () =
   | Ok (Message.Protocol_error _) -> ()
   | Ok r -> Alcotest.fail (Message.describe_response r)
   | Error e -> Alcotest.fail e
+
+let test_remote_client_erasure () =
+  let env = fresh_env () in
+  ignore (write_tenant env ~tenant:"alice" [ "remote secret" ]);
+  let transport = Server.handle_bytes (Server.create env.store) in
+  let connect transport =
+    match Remote_client.connect ~ca:(ca_pub ()) ~clock:env.clock transport with
+    | Ok rc -> rc
+    | Error e -> Alcotest.fail e
+  in
+  let rc = connect transport in
+  (match Remote_client.erasure_cert rc "alice" with
+  | Ok None -> ()
+  | Ok (Some _) -> Alcotest.fail "certificate served before erasure"
+  | Error e -> Alcotest.fail e);
+  let cert = match Remote_client.erase_tenant rc "alice" with Ok c -> c | Error e -> Alcotest.fail e in
+  Alcotest.(check bool) "the store's own certificate" true (Worm.erasure_cert_of env.store "alice" = Some cert);
+  (match Remote_client.erase_tenant rc "alice" with
+  | Ok again -> Alcotest.(check bool) "re-erasing returns the original" true (again = cert)
+  | Error e -> Alcotest.fail e);
+  (* a transport that re-encodes the served certificate with a widened
+     [upto] or another tenant gets an error, never a receipt *)
+  let rewriting forge request =
+    let reply = transport request in
+    match Message.decode_response reply with
+    | Ok (Message.Erasure_cert_reply (Some c)) -> Message.encode_response (Message.Erasure_cert_reply (Some (forge c)))
+    | _ -> reply
+  in
+  List.iter
+    (fun (name, forge) ->
+      let rc' = connect (rewriting forge) in
+      (match Remote_client.erase_tenant rc' "alice" with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (name ^ ": forged erase receipt accepted"));
+      match Remote_client.erasure_cert rc' "alice" with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (name ^ ": forged certificate accepted"))
+    [
+      ("widened upto", fun (c : Firmware.erasure_cert) -> { c with upto = Serial.next c.upto });
+      ("other tenant", fun (c : Firmware.erasure_cert) -> { c with tenant = "bob" });
+    ];
+  (match Remote_client.erase_tenant rc "" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "empty tenant erased");
+  match Remote_client.erasure_cert rc "" with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "empty tenant answered"
 
 (* ---------- maintenance and audits ---------- *)
 
@@ -392,6 +440,7 @@ let suite =
     ("forged cert rejected", `Quick, test_forged_cert_rejected);
     ("erased writes refused", `Quick, test_erased_writes_refused);
     ("erasure over the wire", `Quick, test_erasure_over_the_wire);
+    ("remote client erasure", `Quick, test_remote_client_erasure);
     ("scrubber: erased is compliant", `Quick, test_scrubber_erased_compliant);
     ("deferred audit discharged", `Quick, test_deferred_audit_discharged);
     ("erasure survives restart", `Quick, test_erasure_survives_restart);

@@ -219,7 +219,37 @@ let test_event_server_backpressure () =
   Alcotest.(check bool) "shed slots repaid debt" true (stats.Event_server.strengthened > 0);
   (* every shed slot drained the ledger before the next admission; only
      the final flush's own (not-yet-shed-against) entry may remain *)
-  Alcotest.(check bool) "backpressure drained the ledger" true (Worm.deferred_length env.store <= 1)
+  Alcotest.(check bool) "backpressure drained the ledger" true (Worm.deferred_length env.store <= 1);
+  (* The Busy reply asks for a retry 5 ms after it reaches the client.
+     One isolated shed write: its retry arrives exactly the shed slot's
+     service time, the Busy frame's transit and retry_after_ns later. *)
+  let env = fresh_env () in
+  let net = Netsim.create () in
+  let busy () =
+    Int64.add (Device.busy_ns env.device) (Int64.add (Worm.host_busy_ns env.store) (Disk.busy_ns env.disk))
+  in
+  let arrivals = ref [] in
+  let ingress frame =
+    arrivals := (Clock.now env.clock, busy ()) :: !arrivals;
+    frame
+  in
+  let config = { config with batch_size = 1 } in
+  let es = Event_server.create ~config ~ingress ~clock:env.clock ~net (Server.create env.store) in
+  List.iter
+    (fun (client, at) ->
+      Event_server.submit es ~client ~at (Message.Write { policy; tenant = ""; blocks = [ "isolated" ] }))
+    [ (0, 0L); (1, Clock.ns_of_ms 50.) ];
+  Event_server.run es;
+  match List.rev !arrivals with
+  | [ _; (shed_at, shed_busy); (retry_at, retry_busy) ] ->
+      let busy_len = Message.response_wire_length (Message.Busy { retry_after_ns = Clock.ns_of_ms 5. }) in
+      let retry_after =
+        Int64.sub
+          (Int64.sub (Int64.sub retry_at shed_at) (Int64.sub retry_busy shed_busy))
+          (Netsim.one_way_ns net ~bytes:busy_len)
+      in
+      Alcotest.(check int64) "Busy carries retry_after_ns = 5 ms" (Clock.ns_of_ms 5.) retry_after
+  | l -> Alcotest.failf "expected 3 arrivals (write, shed write, retry), saw %d" (List.length l)
 
 (* ---------- multi-client: faulty batched run == sequential run ---------- *)
 

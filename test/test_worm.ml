@@ -207,7 +207,16 @@ let test_heartbeat_refreshes_bound () =
   (* after the interval it refreshes *)
   Clock.advance env.clock (Clock.ns_of_sec 61.);
   let b3 = Worm.cached_current_bound env.store in
-  Alcotest.(check bool) "timestamp advanced" true (b3.Firmware.timestamp > b1.Firmware.timestamp)
+  Alcotest.(check bool) "timestamp advanced" true (b3.Firmware.timestamp > b1.Firmware.timestamp);
+  (* the interval is 60 s: a bound exactly that old is served as-is, one
+     nanosecond older and it is re-signed *)
+  let age_to ns = Clock.advance env.clock (Int64.sub (Int64.add b3.Firmware.timestamp ns) (Clock.now env.clock)) in
+  age_to (Clock.ns_of_sec 60.);
+  let b4 = Worm.cached_current_bound env.store in
+  Alcotest.(check int64) "served at exactly 60 s" b3.Firmware.timestamp b4.Firmware.timestamp;
+  age_to (Int64.add (Clock.ns_of_sec 60.) 1L);
+  let b5 = Worm.cached_current_bound env.store in
+  Alcotest.(check bool) "re-signed at 60 s + 1 ns" true (b5.Firmware.timestamp > b3.Firmware.timestamp)
 
 let test_litigation_via_store () =
   let env = fresh_env () in
