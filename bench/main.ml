@@ -695,10 +695,10 @@ let print_hash ~quick ~env:_ =
              done;
              Sha256.get ctx)))
     blocks;
-  (* Multi-buffer hashing over the domain pool: 16 independent blocks
+  (* Multi-buffer hashing over the shared pool: 16 independent blocks
      per call, sequential vs. pooled. *)
-  let domains = Worm_util.Pool.recommended_domains () in
-  let pool = Worm_util.Pool.create ~domains () in
+  let pool = Worm_util.Pool.shared () in
+  let domains = Worm_util.Pool.size pool in
   List.iter
     (fun size ->
       let block = List.assoc size blocks in
@@ -711,7 +711,6 @@ let print_hash ~quick ~env:_ =
         ~bytes:size
         (mb_per_sec total (fun () -> Sha256.digest_many ~pool inputs)))
     [ 16384; 65536 ];
-  Worm_util.Pool.shutdown pool;
   let rows = List.rev !rows in
   Printf.printf "%-18s %-12s %12s %12s\n" "algorithm" "mode" "block" "MB/s";
   List.iter
@@ -883,9 +882,9 @@ let read_workload ~quick () =
   let items = List.map (fun sn -> (sn, Core.Worm.read store sn)) (found @ absences) in
   (clock, Rsa.public_of ca, store, items, List.length found, List.length absences)
 
-let measure_read_rps ~budget ~client ?pool items =
+let measure_read_rps ~budget ~client ~pool items =
   let t =
-    time_per_op ~min_time_s:budget ~min_iters:2 (fun () -> Core.Client.verify_read_many ?pool client items)
+    time_per_op ~min_time_s:budget ~min_iters:2 (fun () -> Core.Client.verify_read_many ~pool client items)
   in
   float_of_int (List.length items) /. t
 
@@ -895,21 +894,24 @@ let print_readthroughput ~quick ~env:_ =
   let clock, ca, store, items, n_found, n_absence = read_workload ~quick () in
   Printf.printf "workload: %d reads (%d found, %d absence proofs)\n\n" (List.length items) n_found n_absence;
   let baseline_client = Core.Client.for_store ~ca ~clock ~verify_cache:0 store in
-  let baseline_verdicts = Core.Client.verify_read_many baseline_client items in
+  (* An explicit 1-domain pool: without one, verify_read_many runs on
+     the shared pool. *)
+  let sequential = Pool.create ~domains:1 () in
+  let baseline_verdicts = Core.Client.verify_read_many ~pool:sequential baseline_client items in
   let violations =
     List.length (List.filter (fun (_, v) -> match v with Core.Client.Violation _ -> true | _ -> false) baseline_verdicts)
   in
-  let baseline_rps = measure_read_rps ~budget ~client:baseline_client items in
+  let baseline_rps = measure_read_rps ~budget ~client:baseline_client ~pool:sequential items in
   let curve =
     List.map
       (fun domains ->
         let client = Core.Client.for_store ~ca ~clock store in
-        let pool = if domains > 1 then Some (Pool.create ~domains ()) else None in
-        let verdicts = Core.Client.verify_read_many ?pool client items in
+        let pool = Pool.create ~domains () in
+        let verdicts = Core.Client.verify_read_many ~pool client items in
         let identical = verdicts = baseline_verdicts in
-        let rps = measure_read_rps ~budget ~client ?pool items in
+        let rps = measure_read_rps ~budget ~client ~pool items in
         let stats = Core.Client.verify_cache_stats client in
-        Option.iter Pool.shutdown pool;
+        Pool.shutdown pool;
         (domains, rps, identical, stats))
       (curve_domains ())
   in

@@ -23,7 +23,6 @@ type t = {
   store : Worm.t;
   client : Client.t;
   cfg : config;
-  pool : Worm_util.Pool.t option;
   mutable mirror : Replicator.t option;
   mutable cursor : Serial.t;
   mutable pass : pass option;
@@ -31,9 +30,9 @@ type t = {
   mutable last : Report.t option;
 }
 
-let create ?(config = default_config) ?pool ~store ~client () =
-  { store; client; cfg = config; pool; mirror = None; cursor = Serial.first; pass = None;
-    pass_findings = []; last = None }
+let create ?(config = default_config) ~store ~client () =
+  { store; client; cfg = config; mirror = None; cursor = Serial.first; pass = None; pass_findings = [];
+    last = None }
 
 let attach_mirror t r = t.mirror <- Some r
 let config t = t.cfg
@@ -62,12 +61,9 @@ let blocks_of = function
   | Proof.Found { blocks; _ } -> blocks
   | _ -> []
 
-(* Turn one (response, verdict) pair into findings and return the host
-   cost of having verified it. Shared verbatim by the sequential walk
-   and the pooled batches, so the two produce identical findings by
-   construction. *)
+(* Turn one (response, verdict) pair into findings. *)
 let classify t sn response verdict =
-  (match (response, verdict) with
+  match (response, verdict) with
   | Proof.Refused excuse, _ -> begin
       (* A refusal is never legitimate (Theorem 2); distinguish the
          repairable case — live VRDT entry whose data blocks are gone —
@@ -88,12 +84,7 @@ let classify t sn response verdict =
   | _, (Client.Valid_data _ | Client.Committed_unverifiable | Client.Properly_deleted | Client.Properly_erased) ->
       (* Properly_erased is compliant: the cert verified, the tenant's
          records are provably unrecoverable — nothing to flag. *)
-      ());
-  record_cost (blocks_of response)
-
-let check_sn t sn =
-  let response = Worm.read t.store sn in
-  classify t sn response (Client.verify_read t.client ~sn response)
+      ()
 
 (* ---------- cross-cutting invariants ---------- *)
 
@@ -238,42 +229,27 @@ let run_slice t =
   let budget_left () =
     Int64.compare !spent t.cfg.slice_budget_ns < 0 && !examined < t.cfg.max_records_per_slice
   in
-  let consume cost =
-    spent := Int64.add !spent cost;
+  (* Reads stay on this domain (the store's Hashtbls are single-writer).
+     A record's cost depends on its response alone, never on its
+     verdict, so the slice reads exactly the serials its budget affords
+     and then verifies them as one batch on the shared pool: the reads,
+     the cursor, the findings (classified in SN order) and the billed
+     cost are those of a read-verify-classify walk, one SN at a time. *)
+  let batch = ref [] in
+  while Serial.(t.cursor <= pass.target) && budget_left () do
+    let sn = t.cursor in
+    let response = Worm.read t.store sn in
+    batch := (sn, response) :: !batch;
+    spent := Int64.add !spent (record_cost (blocks_of response));
     incr examined;
-    pass.scanned <- pass.scanned + 1;
-    t.cursor <- Serial.next t.cursor
-  in
-  let pool =
-    match t.pool with
-    | Some p when Worm_util.Pool.size p > 1 -> Some p
-    | _ -> None
-  in
-  (match pool with
-  | None ->
-      while Serial.(t.cursor <= pass.target) && budget_left () do
-        consume (check_sn t t.cursor)
-      done
-  | Some pool ->
-      (* Reads stay on this domain (the store's Hashtbls are
-         single-writer); verification fans out per batch. The budget is
-         applied to verdicts in SN order exactly as the sequential walk
-         would, so a batch that overruns the slice budget discards the
-         surplus verdicts — the cursor stays put and the next slice
-         re-verifies them. Batches are a small multiple of the pool so
-         that surplus stays bounded. *)
-      let batch_cap = Worm_util.Pool.size pool * 4 in
-      while Serial.(t.cursor <= pass.target) && budget_left () do
-        let room = min batch_cap (t.cfg.max_records_per_slice - !examined) in
-        let n = min (Int64.to_int (Int64.add (Serial.distance t.cursor pass.target) 1L)) room in
-        let sns = List.init n (fun i -> Serial.of_int64 (Int64.add (Serial.to_int64 t.cursor) (Int64.of_int i))) in
-        let responses = List.map (fun sn -> (sn, Worm.read t.store sn)) sns in
-        let verdicts = Client.verify_read_many ~pool t.client responses in
-        List.iter2
-          (fun (sn, response) (_, verdict) ->
-            if budget_left () then consume (classify t sn response verdict))
-          responses verdicts
-      done);
+    t.cursor <- Serial.next sn
+  done;
+  let responses = List.rev !batch in
+  List.iter2
+    (fun (sn, response) (_, verdict) -> classify t sn response verdict)
+    responses
+    (Client.verify_read_many t.client responses);
+  pass.scanned <- pass.scanned + !examined;
   pass.spent_ns <- Int64.add pass.spent_ns !spent;
   let completed =
     if Serial.(t.cursor > pass.target) && budget_left () then begin

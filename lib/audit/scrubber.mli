@@ -37,17 +37,17 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> ?pool:Worm_util.Pool.t -> store:Worm.t -> client:Client.t -> unit -> t
+val create : ?config:config -> store:Worm.t -> client:Client.t -> unit -> t
 (** [client] must be bound to [store]'s certificates (e.g.
     {!Client.for_store}).
 
-    With a [pool] of size > 1, each slice reads responses on the
-    calling domain (the store's tables are single-writer) and fans
-    their verification out across the pool in SN-ordered batches.
-    Findings, cursor movement, and budget accounting are identical to
-    the sequential walk: verdicts are consumed in SN order under the
-    same budget, and a batch's surplus verdicts are discarded rather
-    than consumed early. *)
+    Each slice reads responses on the calling domain (the store's
+    tables are single-writer), exactly as many as its budget affords —
+    a record's cost depends on its response, not its verdict — and
+    verifies them as one batch on {!Worm_util.Pool.shared}
+    ({!Client.verify_read_many}). Findings (classified in SN order),
+    cursor movement, reads and budget accounting are those of a walk
+    that reads and verifies one serial at a time. *)
 
 val attach_mirror : t -> Replicator.t -> unit
 (** Give the repair engine a replica to heal from. The [Replicator]'s

@@ -6,14 +6,14 @@ module Sha256 = Worm_crypto.Sha256
 
 type outcome = { merged : Report.t; per_shard : (int * Report.t) list; skipped : int list }
 
-let scrubbers ?config ?pool router =
+let scrubbers ?config router =
   List.init (Shard_router.shard_count router) Fun.id
   |> List.filter_map (fun i ->
          match Shard_router.serving_store router i with
          | None -> None
          | Some store ->
              let client = Client.for_store ~ca:(Shard_router.ca_public router) ~clock:(Shard_router.clock router) store in
-             let scrubber = Scrubber.create ?config ?pool ~store ~client () in
+             let scrubber = Scrubber.create ?config ~store ~client () in
              (* The repair engine can heal from the mirror only while the
                 replicator's primary is the store being scrubbed — i.e.
                 the shard is serving its primary, not a fenced fallback;
@@ -86,8 +86,8 @@ let merge router reports ~skipped =
       skip_findings @ List.concat_map (fun (i, r) -> tag_findings i r.Report.findings) reports;
   }
 
-let run ?config ?pool router =
-  let scrubs = scrubbers ?config ?pool router in
+let run ?config router =
+  let scrubs = scrubbers ?config router in
   let skipped =
     List.init (Shard_router.shard_count router) Fun.id
     |> List.filter (fun i -> not (List.mem_assoc i scrubs))

@@ -20,7 +20,7 @@ type outcome = {
   skipped : int list;  (** shards with no serving store (fenced, no mirror) *)
 }
 
-val run : ?config:Scrubber.config -> ?pool:Worm_util.Pool.t -> Shard_router.t -> outcome
+val run : ?config:Scrubber.config -> Shard_router.t -> outcome
 (** Round-robin budgeted slices across every scrubbable shard until each
     pass completes, then merge. [merged.pass_complete] is [false] when
     any shard had to be skipped — partial coverage must not read as a

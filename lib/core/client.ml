@@ -218,33 +218,14 @@ let check_current_bound t (bound : Firmware.current_bound) =
       let fresh = fetch () in
       if verify_current_bound_sig t fresh then Ok fresh else Error Current_bound_invalid
 
-(* The three independent costs of verifying a found record — the
-   metasig check, the datasig check, and the chained hash over the data
-   blocks — fan out across a pool when one is supplied, so a single
-   large multi-block read already benefits from idle cores. *)
-let verify_found ?pool t ~sn (vrd : Vrd.t) blocks =
+(* A single read verifies on the caller's domain; batches fan out per
+   record in [verify_read_many]. *)
+let verify_found t ~sn (vrd : Vrd.t) blocks =
   let meta_msg = Wire.metasig_msg ~store_id:t.store_id ~sn:vrd.Vrd.sn ~attr_bytes:(Attr.to_bytes vrd.Vrd.attr) in
   let data_msg = Wire.datasig_msg ~store_id:t.store_id ~sn:vrd.Vrd.sn ~data_hash:vrd.Vrd.data_hash in
-  let check_meta () = check_witness t meta_msg vrd.Vrd.metasig in
-  let check_data () = check_witness t data_msg vrd.Vrd.datasig in
-  let hash_blocks () = Chained_hash.value (Chained_hash.of_blocks blocks) in
-  let meta_res, data_res, actual_hash =
-    match pool with
-    | Some p when Worm_util.Pool.size p > 1 ->
-        let r =
-          Worm_util.Pool.parallel_map p
-            (fun f -> f ())
-            [|
-              (fun () -> `Witness (check_meta ()));
-              (fun () -> `Witness (check_data ()));
-              (fun () -> `Hash (hash_blocks ()));
-            |]
-        in
-        (match (r.(0), r.(1), r.(2)) with
-        | `Witness m, `Witness d, `Hash h -> (m, d, h)
-        | _ -> assert false)
-    | _ -> (check_meta (), check_data (), hash_blocks ())
-  in
+  let meta_res = check_witness t meta_msg vrd.Vrd.metasig in
+  let data_res = check_witness t data_msg vrd.Vrd.datasig in
+  let actual_hash = Chained_hash.value (Chained_hash.of_blocks blocks) in
   let violations = ref [] in
   let flag v = violations := v :: !violations in
   if not (Serial.equal vrd.Vrd.sn sn) then flag Wrong_serial;
@@ -267,9 +248,9 @@ let verify_found ?pool t ~sn (vrd : Vrd.t) blocks =
   | [] -> if meta_ok && data_ok then Valid_data { vrd; blocks } else Committed_unverifiable
   | vs -> Violation (List.rev vs)
 
-let verify_read ?pool t ~sn (response : Proof.read_response) =
+let verify_read t ~sn (response : Proof.read_response) =
   match response with
-  | Proof.Found { vrd; blocks } -> verify_found ?pool t ~sn vrd blocks
+  | Proof.Found { vrd; blocks } -> verify_found t ~sn vrd blocks
   | Proof.Proof_deleted { sn = psn; proof } ->
       let msg = Wire.deletion_msg ~store_id:t.store_id ~sn in
       if not (Serial.equal psn sn) then Violation [ Deletion_proof_invalid ]
@@ -363,25 +344,25 @@ let must_verify_inline t = function
   | Proof.Erased _ | Proof.Refused _ ->
       false
 
-let verify_read_many ?pool t items =
-  match pool with
-  | Some p when Worm_util.Pool.size p > 1 && List.length items > 1 ->
-      let arr = Array.of_list items in
-      let results =
-        Worm_util.Pool.parallel_map p
-          (fun (sn, response) ->
-            if must_verify_inline t response then None else Some (sn, verify_read t ~sn response))
-          arr
-      in
-      (* Firmware-touching verdicts run here, in input order. *)
-      Array.iteri
-        (fun i r ->
-          if r = None then
-            let sn, response = arr.(i) in
-            results.(i) <- Some (sn, verify_read t ~sn response))
-        results;
-      Array.to_list (Array.map Option.get results)
-  | _ -> List.map (fun (sn, response) -> (sn, verify_read t ~sn response)) items
+let verify_read_many ?(pool = Worm_util.Pool.shared ()) t items =
+  if Worm_util.Pool.size pool > 1 && List.length items > 1 then begin
+    let arr = Array.of_list items in
+    let results =
+      Worm_util.Pool.parallel_map pool
+        (fun (sn, response) ->
+          if must_verify_inline t response then None else Some (sn, verify_read t ~sn response))
+        arr
+    in
+    (* Firmware-touching verdicts run here, in input order. *)
+    Array.iteri
+      (fun i r ->
+        if r = None then
+          let sn, response = arr.(i) in
+          results.(i) <- Some (sn, verify_read t ~sn response))
+      results;
+    Array.to_list (Array.map Option.get results)
+  end
+  else List.map (fun (sn, response) -> (sn, verify_read t ~sn response)) items
 
 let verify_migration t ~target_store_id ~base ~current ~content_hash ~manifest_sig =
   let msg =

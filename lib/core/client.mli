@@ -99,21 +99,19 @@ type verdict =
 
 val verdict_name : verdict -> string
 
-val verify_read : ?pool:Worm_util.Pool.t -> t -> sn:Serial.t -> Proof.read_response -> verdict
-(** Full verification of a read response for serial number [sn]. With a
-    [pool], the independent costs of a found record — both witness
-    checks and the chained hash over the data blocks — run on separate
-    domains; verdicts are identical to the sequential path. *)
+val verify_read : t -> sn:Serial.t -> Proof.read_response -> verdict
+(** Full verification of a read response for serial number [sn], on the
+    calling domain. *)
 
 val verify_read_many :
   ?pool:Worm_util.Pool.t -> t -> (Serial.t * Proof.read_response) list -> (Serial.t * verdict) list
-(** Verify a batch of read responses, in order. With a [pool] of size
-    > 1 the per-response verifications fan out across its domains (the
-    host-side-only read path of §4.2.2 scaled over cores); the result
-    is element-for-element identical to the sequential
-    [List.map]-of-{!verify_read} it replaces. [Direct_scpu] absence
-    checks call back into the firmware and therefore always run on the
-    submitting domain. *)
+(** Verify a batch of read responses, in order. The per-response
+    verifications fan out across [pool] (default
+    {!Worm_util.Pool.shared}: the host-side-only read path of §4.2.2
+    scaled over cores); the result is element-for-element identical to
+    the [List.map]-of-{!verify_read} a 1-domain pool runs.
+    [Direct_scpu] absence checks call back into the firmware and
+    therefore always run on the submitting domain. *)
 
 val verify_erasure_cert : t -> Firmware.erasure_cert -> (unit, string) result
 (** CA-rooted check of an SCPU-signed erasure certificate on its own,

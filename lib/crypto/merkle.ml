@@ -32,14 +32,15 @@ let create ~capacity =
   t
 
 (* Bulk build: one [digest_parts_many] fan-out per tree level, so the
-   independent hashes of a level run across the domain pool. Like
+   independent hashes of a level run across the shared pool. Like
    [create], construction hashing is not charged to the counter. *)
-let of_leaves ?pool leaves =
+let of_leaves leaves =
+  let pool = Worm_util.Pool.shared () in
   let n = Array.length leaves in
   if n = 0 then invalid_arg "Merkle.of_leaves: no leaves";
   let cap = pow2_at_least n 1 in
   let nodes = Array.make (2 * cap) "" in
-  let hashed = Sha256.digest_parts_many ?pool (Array.map (fun d -> [ "\x00"; d ]) leaves) in
+  let hashed = Sha256.digest_parts_many ~pool (Array.map (fun d -> [ "\x00"; d ]) leaves) in
   Array.blit hashed 0 nodes cap n;
   for i = cap + n to (2 * cap) - 1 do
     nodes.(i) <- empty_leaf_hash
@@ -52,7 +53,7 @@ let of_leaves ?pool leaves =
           let i = w + j in
           [ "\x01"; nodes.(2 * i); nodes.((2 * i) + 1) ])
     in
-    let hashed = Sha256.digest_parts_many ?pool parts in
+    let hashed = Sha256.digest_parts_many ~pool parts in
     Array.blit hashed 0 nodes w w;
     width := w / 2
   done;

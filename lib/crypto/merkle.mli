@@ -12,9 +12,10 @@ val create : capacity:int -> t
 (** Capacity is rounded up to a power of two; absent leaves hash as a
     fixed empty marker. @raise Invalid_argument if [capacity <= 0]. *)
 
-val of_leaves : ?pool:Worm_util.Pool.t -> string array -> t
+val of_leaves : string array -> t
 (** Bulk construction: installs leaf [i] = [leaves.(i)], hashing each
-    tree level across the domain pool ({!Sha256.digest_parts_many}).
+    tree level across {!Worm_util.Pool.shared}
+    ({!Sha256.digest_parts_many}).
     The root is identical to [create]-then-[set] for the same leaves.
     Construction hashing is not charged to {!hash_count}.
     @raise Invalid_argument on an empty array. *)

@@ -373,9 +373,12 @@ let mont_mul ctx (dst : int array) (a : int array) (b : int array) =
 let mont_pow ctx (acc : int array) (base_m : int array) exp =
   let n = ctx.limbs in
   let nbits = bit_length exp in
-  if nbits <= 128 then begin
-    Array.blit ctx.one_m 0 acc 0 n;
-    for i = nbits - 1 downto 0 do
+  if nbits = 0 then Array.blit ctx.one_m 0 acc 0 n
+  else if nbits <= 128 then begin
+    (* Start at the top bit, base_m itself: squaring and multiplying
+       one_m into it gives the same limbs. e = 65537 takes 17 multiplies. *)
+    Array.blit base_m 0 acc 0 n;
+    for i = nbits - 2 downto 0 do
       mont_mul ctx acc acc acc;
       if test_bit exp i then mont_mul ctx acc acc base_m
     done

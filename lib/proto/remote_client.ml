@@ -238,7 +238,7 @@ let erasure_cert t tenant =
   | Ok _ -> Error "unexpected response to erasure-cert-get"
   | Error e -> Error e
 
-let audit_sweep ?pool t ~lo ~hi =
+let audit_sweep t ~lo ~hi =
   let sns = Serial.range lo hi in
   match roundtrip t (Message.Read_many sns) with
   | Ok (Message.Read_many_reply replies) ->
@@ -261,7 +261,7 @@ let audit_sweep ?pool t ~lo ~hi =
           sns
       in
       let verified = Hashtbl.create (List.length answered * 2) in
-      List.iter (fun (sn, v) -> Hashtbl.replace verified sn v) (Client.verify_read_many ?pool t.client answered);
+      List.iter (fun (sn, v) -> Hashtbl.replace verified sn v) (Client.verify_read_many t.client answered);
       (* Requested serial order; unanswered and duplicated SNs prove
          nothing. Violations get a confirming re-read each. *)
       List.map
@@ -283,14 +283,14 @@ type remote_audit = {
   resume : Serial.t option;
 }
 
-let run_remote_audit ?(batch = 64) ?pool ?(cursor = Serial.first) t =
+let run_remote_audit ?(batch = 64) ?(cursor = Serial.first) t =
   let batch = Stdlib.max 1 batch in
   let rec go cursor scanned skipped trips violations =
     match roundtrip t (Message.Audit_slice { cursor; max = batch }) with
     | Ok (Message.Audit_slice_reply { replies; next; base = _; current }) -> begin
-        (* Each served batch verifies across the pool; only violations
-           are kept, in reply order, exactly as the sequential fold —
-           after a confirming re-read weeds out wire damage. *)
+        (* Each served batch verifies across the shared pool; only
+           violations are kept, in reply order, exactly as the sequential
+           fold — after a confirming re-read weeds out wire damage. *)
         let violations =
           List.fold_left
             (fun acc (sn, verdict) ->
@@ -302,7 +302,7 @@ let run_remote_audit ?(batch = 64) ?pool ?(cursor = Serial.first) t =
                 end
               | _ -> acc)
             violations
-            (Client.verify_read_many ?pool t.client replies)
+            (Client.verify_read_many t.client replies)
         in
         let scanned = scanned + List.length replies in
         match next with
@@ -353,7 +353,7 @@ let run_remote_audit ?(batch = 64) ?pool ?(cursor = Serial.first) t =
   in
   go cursor 0 0L 1 []
 
-let run_remote_audit_to_completion ?batch ?pool ?(max_stalls = 2) t =
+let run_remote_audit_to_completion ?batch ?(max_stalls = 2) t =
   let merge a b =
     {
       scanned = a.scanned + b.scanned;
@@ -364,7 +364,7 @@ let run_remote_audit_to_completion ?batch ?pool ?(max_stalls = 2) t =
     }
   in
   let rec go acc cursor stalls =
-    let run = run_remote_audit ?batch ?pool ~cursor t in
+    let run = run_remote_audit ?batch ~cursor t in
     let acc = match acc with None -> run | Some a -> merge a run in
     match run.resume with
     | None -> acc

@@ -91,12 +91,11 @@ val erasure_cert : t -> string -> (Worm_core.Firmware.erasure_cert option, strin
 (** Fetch (and verify) the erasure certificate for a tenant; [Ok None]
     when the tenant has not been erased on this store. *)
 
-val audit_sweep :
-  ?pool:Worm_util.Pool.t -> t -> lo:Serial.t -> hi:Serial.t -> (Serial.t * Worm_core.Client.verdict) list
+val audit_sweep : t -> lo:Serial.t -> hi:Serial.t -> (Serial.t * Worm_core.Client.verdict) list
 (** Batched verified reads over an inclusive serial range (the
-    federal-investigator workload). With a [pool], response
-    verification fans out across its domains; results are identical to
-    the sequential sweep. Reassembly is by hashtable (one pass over the
+    federal-investigator workload). Response verification fans out
+    across {!Worm_util.Pool.shared} ({!Worm_core.Client.verify_read_many});
+    results are identical to the sequential sweep. Reassembly is by hashtable (one pass over the
     reply list); a malicious reply answering the same SN twice is
     flagged rather than first-match-trusted, and violating rows earn a
     confirming re-read before they are reported. *)
@@ -119,19 +118,19 @@ type remote_audit = {
           the unvisited region. *)
 }
 
-val run_remote_audit : ?batch:int -> ?pool:Worm_util.Pool.t -> ?cursor:Serial.t -> t -> remote_audit
+val run_remote_audit : ?batch:int -> ?cursor:Serial.t -> t -> remote_audit
 (** Full-store remote audit over {!Message.Audit_slice} batches
     ([batch] proofs per round trip, default 64): walk the SN space from
-    [cursor] (default [Serial.first]), verify every served proof,
-    fast-forward across the below-base region under the base bound, and
-    finish with one probe above the served current bound. A dishonest
+    [cursor] (default [Serial.first]), verify every served batch of
+    proofs across {!Worm_util.Pool.shared}, fast-forward across the
+    below-base region under the base bound, and finish with one probe
+    above the served current bound. A dishonest
     server — refusing proofs, serving forgeries, or stalling the
     cursor — lands in [violations]; a transport that dies mid-sweep
     lands in [resume]; an empty [violations] with [resume = None] is a
     verified-clean store. *)
 
-val run_remote_audit_to_completion :
-  ?batch:int -> ?pool:Worm_util.Pool.t -> ?max_stalls:int -> t -> remote_audit
+val run_remote_audit_to_completion : ?batch:int -> ?max_stalls:int -> t -> remote_audit
 (** {!run_remote_audit} plus the resume discipline: keep re-running
     from the returned cursor while it advances, tolerating up to
     [max_stalls] (default 2) consecutive non-advancing resumes (each of

@@ -139,42 +139,26 @@ let sign_weak t msg =
   t.stats <- { t.stats with weak_signs = t.stats.weak_signs + 1; sign_calls = t.stats.sign_calls + 1 };
   (k.weak_cert, Rsa.sign k.weak msg)
 
-(* The SCPU's crypto engine: one process-wide domain pool that every
-   device's batches sign on, beside the host, as the paper's SCPU is a
-   PCI-X card of its own. It is built on the first batch — under a
-   mutex, since a [Lazy] is not domain-safe — and lives until exit. On
-   a one-core host it has one domain and spawns nothing. *)
-let engine = ref None
-let engine_mutex = Mutex.create ()
-
-let crypto_engine () =
-  Mutex.protect engine_mutex (fun () ->
-      match !engine with
-      | Some pool -> pool
-      | None ->
-          let pool = Worm_util.Pool.create () in
-          engine := Some pool;
-          pool)
-
 (* Batch variants: one trip through the key material for a whole burst.
    The ledger still charges per signature — amortization buys back the
    host-side setup, not the modular exponentiations themselves. Key
    checks, charging and stats run in the calling domain before any
-   signing is handed to the engine; only the signatures fan out. *)
+   signing is handed to the process-wide pool, the SCPU's crypto engine
+   signing beside the host; only the signatures fan out. *)
 
 let sign_strong_batch t msgs =
   let k = keys t in
   let count = List.length msgs in
   charge t (Int64.mul (Int64.of_int count) (Cost_model.rsa_sign_ns t.config.profile ~bits:t.config.strong_bits));
   t.stats <- { t.stats with strong_signs = t.stats.strong_signs + count; sign_calls = t.stats.sign_calls + 1 };
-  Rsa.sign_batch ~pool:(crypto_engine ()) k.signing msgs
+  Rsa.sign_batch ~pool:(Worm_util.Pool.shared ()) k.signing msgs
 
 let sign_deletion_batch t msgs =
   let k = keys t in
   let count = List.length msgs in
   charge t (Int64.mul (Int64.of_int count) (Cost_model.rsa_sign_ns t.config.profile ~bits:t.config.strong_bits));
   t.stats <- { t.stats with deletion_signs = t.stats.deletion_signs + count; sign_calls = t.stats.sign_calls + 1 };
-  Rsa.sign_batch ~pool:(crypto_engine ()) k.deletion msgs
+  Rsa.sign_batch ~pool:(Worm_util.Pool.shared ()) k.deletion msgs
 
 let sign_weak_batch t msgs =
   rotate_weak_if_needed t;
@@ -182,7 +166,7 @@ let sign_weak_batch t msgs =
   let count = List.length msgs in
   charge t (Int64.mul (Int64.of_int count) (Cost_model.rsa_sign_ns t.config.profile ~bits:t.config.weak_bits));
   t.stats <- { t.stats with weak_signs = t.stats.weak_signs + count; sign_calls = t.stats.sign_calls + 1 };
-  (k.weak_cert, Rsa.sign_batch ~pool:(crypto_engine ()) k.weak msgs)
+  (k.weak_cert, Rsa.sign_batch ~pool:(Worm_util.Pool.shared ()) k.weak msgs)
 
 let hmac_tag t msg =
   let k = keys t in

@@ -84,13 +84,13 @@ val sign_strong_batch : t -> string list -> string list
     order. Charges and counts one strong signature per message; the batch
     form amortizes per-key setup across the burst (§4.3).
 
-    Every batch form fans its signatures out on one process-wide domain
-    pool, the model of the SCPU's crypto engine signing beside the host
-    (built on the first batch, with {!Worm_util.Pool.recommended_domains}
-    domains; a one-element batch signs in the caller). The signatures, the
-    ledger and the stats are exactly those of the sequential path: key
-    checks, charging and counting run in the caller before anything is
-    handed to the pool. *)
+    Every batch form fans its signatures out on {!Worm_util.Pool.shared},
+    the model of the SCPU's crypto engine signing beside the host; the
+    host's batched read verification shares the same pool, and a
+    one-element batch signs in the caller. The signatures, the ledger
+    and the stats are exactly those of the sequential path: key checks,
+    charging and counting run in the caller before anything is handed
+    to the pool. *)
 
 val sign_deletion_batch : t -> string list -> string list
 (** Batch form of {!sign_deletion}; pooled like {!sign_strong_batch}. *)

@@ -62,6 +62,15 @@ let with_pool ?domains f =
   let t = create ?domains () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
+(* Built on first use under a mutex: a [Lazy] is not domain-safe. *)
+let shared_pool = ref None
+let shared_mutex = Mutex.create ()
+
+let shared () =
+  Mutex.protect shared_mutex (fun () ->
+      if Option.is_none !shared_pool then shared_pool := Some (create ());
+      Option.get !shared_pool)
+
 (* One batch of chunk tasks: completion is tracked under the pool mutex
    so the submitter can both help drain the queue and sleep once it
    empties. The first exception wins and is re-raised on the submitting
@@ -88,8 +97,9 @@ let submit_batch t thunks =
   List.iter (fun thunk -> Queue.push (wrap thunk) t.queue) thunks;
   Condition.broadcast t.work;
   (* Help: run queued tasks (ours or another submitter's) until our
-     batch completes. Tasks never block on other tasks, so draining the
-     queue from here cannot deadlock. *)
+     batch completes. A task that submits a nested batch helps drain it
+     the same way, and a submitter sleeps only once the queue is empty,
+     on tasks other domains are already running: no deadlock. *)
   let rec help () =
     if b.pending > 0 then begin
       match Queue.take_opt t.queue with

@@ -1,31 +1,29 @@
-(** Fixed-size domain pool for host-side parallelism and for the SCPU
-    model's crypto engine.
+(** Fixed-size domain pools, over stdlib domains only.
 
-    The paper's read path is host-CPU-only (§4.2.2): verifying
-    [metasig]/[datasig] witnesses and bound signatures costs the
-    untrusted host public-key operations and hashing, none of which
-    touch the SCPU. This pool spreads that verification over the
-    machine's cores with stdlib domains only — no external scheduler.
+    The process has one {!shared} pool, which nothing shuts down. The
+    SCPU device signs its batches on it (the paper's SCPU is a card of
+    its own, signing beside the host), and batched host-side
+    verification runs on it: the paper's read path is host-CPU-only
+    (§4.2.2). Pools made with {!create} are only for a fixed size: a
+    1/2/4-domain curve, or a test comparing a pooled result with a
+    sequential one.
 
     A pool of size [n] uses [n - 1] persistent worker domains plus the
-    submitting domain, which drains the same queue while it waits, so
-    submitting to a busy pool degrades gracefully toward inline
-    execution. A pool of size 1 spawns no domains and runs every batch
-    sequentially in the caller — the clean fallback path.
+    submitting domain, which drains the same queue while it waits, so a
+    busy pool degrades toward inline execution and a task may submit a
+    batch to the pool it runs on. A pool of size 1 spawns no domains and
+    runs every batch sequentially in the caller.
 
     Batches are synchronous: [parallel_map]/[parallel_for] return only
     after every element has been processed. If any element raises, the
     first exception is re-raised on the submitting domain after the
     whole batch has finished (no element is silently skipped).
 
-    The pool itself is domain-safe; the work functions must be too.
-    In this codebase that means: pure computation, {!Worm_crypto.Rsa}
-    verification (its context cache is per-domain), {!Worm_crypto.Rsa}
-    signing (each call clones the key's contexts; the SCPU device signs
-    its batches on a shared pool), and the mutex-guarded caches in
-    {!Worm_core.Client}. Do not touch a
-    {!Worm_core.Worm.t} (host Hashtbls are single-writer) from inside a
-    pooled task. *)
+    The pool itself is domain-safe; the work functions must be too:
+    pure computation, {!Worm_crypto.Rsa} signing and verification (their
+    contexts are per call or per domain), and the mutex-guarded caches
+    in {!Worm_core.Client}. Do not touch a {!Worm_core.Worm.t} (host
+    Hashtbls are single-writer) from inside a pooled task. *)
 
 type t
 
@@ -59,3 +57,8 @@ val shutdown : t -> unit
 
 val with_pool : ?domains:int -> (t -> 'a) -> 'a
 (** [create], run, [shutdown] (also on exception). *)
+
+val shared : unit -> t
+(** The process-wide pool, built by the first call from any domain with
+    {!recommended_domains} domains. The count follows the CPU affinity
+    mask: under [taskset -c 0] the pool has one domain and spawns none. *)

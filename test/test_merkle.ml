@@ -96,8 +96,8 @@ let prop_random_fill_all_verify =
       !ok)
 
 let test_of_leaves_agrees_with_set () =
-  (* Bulk construction must land on the same root and leaves as the
-     incremental path, sequentially and over a domain pool, and bulk
+  (* Bulk construction, hashed on the shared pool, must land on the
+     same root and leaves as the incremental path, and bulk
      construction (like create) is not charged to the update counter. *)
   let leaves = Array.init 11 (fun i -> Printf.sprintf "leaf-%d" (i * i)) in
   let incremental = Merkle.create ~capacity:(Array.length leaves) in
@@ -108,10 +108,6 @@ let test_of_leaves_agrees_with_set () =
   Alcotest.(check int) "construction not charged" 0 (Merkle.hash_count bulk);
   Alcotest.(check (option string)) "leaf readable" (Some "leaf-100") (Merkle.get bulk 10);
   Alcotest.(check (option string)) "padding absent" None (Merkle.get bulk 15);
-  let pool = Worm_util.Pool.create ~domains:2 () in
-  let pooled = Merkle.of_leaves ~pool leaves in
-  Worm_util.Pool.shutdown pool;
-  Alcotest.(check string) "pooled root matches" (Merkle.root bulk) (Merkle.root pooled);
   Alcotest.(check bool) "proof from bulk tree verifies" true
     (Merkle.verify ~root:(Merkle.root bulk) ~capacity:(Merkle.capacity bulk) ~index:3
        ~leaf_data:leaves.(3) ~proof:(Merkle.proof bulk 3))

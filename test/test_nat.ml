@@ -128,14 +128,27 @@ let gen_rsa_shape =
   in
   return (base, exp, m)
 
+(* Short exponents, which take the binary path that starts from the
+   base rather than from one: 0-3, 65537 and random 2-128-bit ones, on
+   odd moduli of exactly 1, 2 and 38 limbs (38 holds RSA-1024). *)
+let gen_short_exp =
+  let open QCheck.Gen in
+  let* limbs = oneofl [ 1; 2; 38 ] in
+  let* seed = string_size (return 8) in
+  let rng = Drbg.create ~seed in
+  let exact b = Nat.add (Nat.shift_left Nat.one (b - 1)) (Drbg.nat_bits rng (b - 1)) in
+  let m = exact ((27 * (limbs - 1)) + 2 + Drbg.int_below rng 26) in
+  let* exp = oneofl (exact (2 + Drbg.int_below rng 127) :: List.map Nat.of_int [ 0; 1; 2; 3; 65537 ]) in
+  return (Drbg.nat_below rng m, exp, if Nat.is_even m then Nat.succ m else m)
+
 let prop_ctx_agrees_generic =
   (* The Montgomery kernel must agree with the reference
-     square-and-multiply on random odd moduli of mixed widths and on
-     RSA-shaped moduli, exponents and bases. *)
+     square-and-multiply on random odd moduli of mixed widths, on
+     RSA-shaped moduli, exponents and bases, and on short exponents. *)
   let arb =
     QCheck.make
       ~print:(fun (a, b, c) -> String.concat "," (List.map Nat.to_decimal [ a; b; c ]))
-      QCheck.Gen.(frequency [ (7, triple gen_nat gen_nat gen_nat); (1, gen_rsa_shape) ])
+      QCheck.Gen.(frequency [ (7, triple gen_nat gen_nat gen_nat); (1, gen_rsa_shape); (2, gen_short_exp) ])
   in
   t "mod_pow_ctx agrees with mod_pow_generic" arb (fun (base, exp, m) ->
       QCheck.assume (Nat.compare m Nat.two > 0 && not (Nat.is_even m));
