@@ -227,21 +227,12 @@ let write_batch ?witness t entries =
        entries)
 
 let write ?witness ?attr ?tenant t ~policy ~blocks =
-  let witness =
-    match witness with
-    | Some w -> w
-    | None -> t.config.default_witness
-  in
   let attr =
     match attr with
     | Some a -> a
     | None -> Attr.make ?tenant ~created_at:0L (* stamped by the firmware *) ~policy ()
   in
-  tenant_admission t attr;
-  let data = data_source_of_blocks t blocks in
-  (* the SCPU issues the serial first; block sealing needs it for nonces *)
-  let result = Firmware.write t.fw ~attr ~rdl:[] ~data ~mode:witness in
-  finish_write t ~blocks result
+  match write_attr_batch ?witness t [ (attr, blocks) ] with [ sn ] -> sn | _ -> assert false
 
 type part = Fresh of string | Borrow of Serial.t * int
 
@@ -286,13 +277,7 @@ let write_shared ?witness t ~policy ~parts =
           in
           let blocks = List.map fst resolved in
           let attr = Attr.make ~created_at:0L ~policy () in
-          let data =
-            match t.config.datasig_mode with
-            | Scpu_hashes -> Firmware.Blocks blocks
-            | Host_hash ->
-                let total = List.fold_left (fun acc b -> acc + String.length b) 0 blocks in
-                Firmware.Claimed_hash (Chained_hash.value (host_chained_hash t blocks), total)
-          in
+          let data = data_source_of_blocks t blocks in
           let { Firmware.vrd; vexp_shed } = Firmware.write t.fw ~attr ~rdl:[] ~data ~mode:witness in
           let rdl =
             List.map

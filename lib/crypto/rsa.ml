@@ -178,15 +178,6 @@ let verify pub ~msg ~signature =
   | em -> Worm_util.Ct.equal em (emsa_pkcs1_v15 ~k msg)
   | exception Invalid_argument _ -> false
 
-let verify_batch ?pool pub items =
-  match pool with
-  | Some p when Worm_util.Pool.size p > 1 && List.length items > 1 ->
-      (* Warm the master context before fanning out, so the domains
-         clone a ready context instead of racing to build one each. *)
-      if not (Nat.is_zero pub.n || Nat.is_even pub.n) then ignore (master_ctx pub.n);
-      Worm_util.Pool.map_list p (fun (msg, signature) -> verify pub ~msg ~signature) items
-  | _ -> List.map (fun (msg, signature) -> verify pub ~msg ~signature) items
-
 let encode_public enc pub =
   Codec.bytes enc (Nat.to_bytes_be pub.n);
   Codec.bytes enc (Nat.to_bytes_be pub.e)

@@ -36,15 +36,6 @@ val verify : public -> msg:string -> signature:string -> bool
     own clone, so concurrent verifies under one key never share
     Montgomery scratch. *)
 
-val verify_batch :
-  ?pool:Worm_util.Pool.t -> public -> (string * string) list -> bool list
-(** [verify_batch ?pool key [(msg, signature); ...]] verifies each pair,
-    in order. With a [pool] of size > 1 the verifications fan out across
-    its domains — the host-side read path of §4.2.2, where throughput is
-    bounded only by how fast the untrusted host can check signatures.
-    Without one (or on a single-domain pool) it is exactly
-    [List.map (fun (m, s) -> verify key ~msg:m ~signature:s)]. *)
-
 val raw_apply_secret : secret -> Nat.t -> Nat.t
 (** Textbook RSA private operation (CRT), exposed for tests and the
     cost-model microbenchmarks. *)

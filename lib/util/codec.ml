@@ -1,9 +1,8 @@
-(* Zero-copy wire core. The encoder is a growable preallocated [Bytes]
-   written with unsafe big-endian word stores (the sha256.ml playbook:
-   bounds are established once by [ensure], then the word primitives
-   skip the per-byte checks); the decoder reads whole words the same
-   way and can hand out [(string, pos, len)] slices instead of
-   [String.sub] copies. Encodings are canonical and signed — the byte
+(* Wire core. The encoder is a growable preallocated [Bytes] written
+   with unsafe big-endian word stores (the sha256.ml playbook: bounds
+   are established once by [ensure], then the word primitives skip the
+   per-byte checks); the decoder reads whole words the same way.
+   Encodings are canonical and signed — the byte
    format here must stay bit-identical to test/support/ref_codec.ml,
    the retained seed codec that the tests compare against. *)
 
@@ -78,12 +77,6 @@ let raw e s =
   Bytes.blit_string s 0 e.buf e.len n;
   e.len <- e.len + n
 
-let raw_sub e s ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Codec.raw_sub";
-  ensure e len;
-  Bytes.blit_string s pos e.buf e.len len;
-  e.len <- e.len + len
-
 let bytes e s =
   u32 e (String.length s);
   raw e s
@@ -147,20 +140,13 @@ let encoded_length enc v =
 
 (* ---------- decoder ---------- *)
 
-(* [limit], not [String.length input]: a decoder can be a window over a
-   larger buffer (slices, framed sub-messages) without copying it out. *)
-type decoder = { input : string; mutable pos : int; limit : int }
+type decoder = { input : string; mutable pos : int }
 
 exception Truncated
 exception Malformed of string
 
-let decoder input = { input; pos = 0; limit = String.length input }
-
-let decoder_sub input ~pos ~len =
-  if pos < 0 || len < 0 || pos > String.length input - len then invalid_arg "Codec.decoder_sub";
-  { input; pos; limit = pos + len }
-
-let remaining d = d.limit - d.pos
+let decoder input = { input; pos = 0 }
+let remaining d = String.length d.input - d.pos
 
 let take d n =
   if remaining d < n then raise Truncated;
@@ -196,19 +182,10 @@ let read_bool d =
   | 1 -> true
   | n -> raise (Malformed (Printf.sprintf "bad bool tag %d" n))
 
-type slice = { base : string; pos : int; len : int }
-
-let read_bytes_slice d =
+let read_bytes d =
   let n = read_u32 d in
   let pos = take d n in
-  { base = d.input; pos; len = n }
-
-let read_bytes d =
-  let s = read_bytes_slice d in
-  String.sub s.base s.pos s.len
-
-let slice_string s = String.sub s.base s.pos s.len
-let slice_decoder s = { input = s.base; pos = s.pos; limit = s.pos + s.len }
+  String.sub d.input pos n
 
 let read_list item d =
   let n = read_u32 d in

@@ -4,13 +4,9 @@
     length-prefixed. Encodings are canonical: a value has exactly one
     encoding, so encodings can be hashed and signed directly.
 
-    The implementation is the zero-copy wire core: encoders write into
-    a growable preallocated [Bytes] with unsafe big-endian word stores
-    and are reused (a small per-domain pool backs
-    {!with_encoder}/{!encode}); decoders can expose length-prefixed
-    fields as {!slice} views over the input instead of [String.sub]
-    copies, feeding the [feed_sub]/[digest_sub] zero-copy hash API.
-    The byte format is frozen — [test/support/ref_codec.ml] keeps the
+    Encoders write into a growable preallocated [Bytes] with unsafe
+    big-endian word stores and are reused (a small per-domain pool
+    backs {!with_encoder}/{!encode}). The byte format is frozen — [test/support/ref_codec.ml] keeps the
     original implementation as the identity oracle. *)
 
 type encoder
@@ -45,10 +41,6 @@ val raw : encoder -> string -> unit
 (** Append bytes verbatim, no length prefix — for splicing fragments
     that are already canonical encodings (the encode-once memo path). *)
 
-val raw_sub : encoder -> string -> pos:int -> len:int -> unit
-(** [raw] of a substring, without materialising it.
-    @raise Invalid_argument if the range is outside [s]. *)
-
 val list : (encoder -> 'a -> unit) -> encoder -> 'a list -> unit
 (** u32 count followed by the elements. *)
 
@@ -65,7 +57,7 @@ val pool_stats : unit -> pool_stats
 (** Aggregate borrow counters across all domains since program start. *)
 
 type decoder
-(** Read cursor over an encoded string (or a window of one). *)
+(** Read cursor over an encoded string. *)
 
 exception Truncated
 (** Raised when a read runs past the end of the input. *)
@@ -75,10 +67,6 @@ exception Malformed of string
 
 val decoder : string -> decoder
 
-val decoder_sub : string -> pos:int -> len:int -> decoder
-(** Cursor over a window of [s], no copy.
-    @raise Invalid_argument if the range is outside [s]. *)
-
 val read_u8 : decoder -> int
 val read_u16 : decoder -> int
 val read_u32 : decoder -> int
@@ -86,21 +74,6 @@ val read_u64 : decoder -> int64
 val read_int_as_u64 : decoder -> int
 val read_bool : decoder -> bool
 val read_bytes : decoder -> string
-
-type slice = private { base : string; pos : int; len : int }
-(** A zero-copy view of a length-prefixed field inside a decoder's
-    input. Valid as long as the underlying string — strings are
-    immutable, so slices never dangle. *)
-
-val read_bytes_slice : decoder -> slice
-(** Like {!read_bytes} but returns the view instead of a copy — feed it
-    to [Sha256.feed_sub]/[digest_sub], {!raw_sub}, or {!slice_decoder}. *)
-
-val slice_string : slice -> string
-(** Materialise the slice (one [String.sub]). *)
-
-val slice_decoder : slice -> decoder
-(** Decode a framed sub-message in place. *)
 
 val read_list : (decoder -> 'a) -> decoder -> 'a list
 val read_option : (decoder -> 'a) -> decoder -> 'a option

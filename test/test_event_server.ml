@@ -11,6 +11,7 @@ module Netsim = Worm_proto.Netsim
 module Event_server = Worm_proto.Event_server
 module Firmware = Worm_core.Firmware
 module Sim = Worm_sim.Sim
+module Row = Worm_sim.Row
 
 (* ---------- Netsim billing rounds to nearest (was: truncated) ---------- *)
 
@@ -261,13 +262,14 @@ let test_multi_client_convergence () =
     ]
   in
   let r = Sim.multi_client ~phases ~fault_rate:0.1 ~batch_size:8 ~strong_bits:512 ~seed:"test-mc" () in
-  Alcotest.(check int) "no client gave up" 0 r.Sim.mc_gave_up;
-  Alcotest.(check int) "every write acked" r.Sim.mc_clients r.Sim.mc_writes_acked;
-  Alcotest.(check int) "every read-after-write verified" r.Sim.mc_clients r.Sim.mc_reads_ok;
-  Alcotest.(check bool) "verdict fingerprint identical to sequential" true r.Sim.mc_fingerprint_match;
-  Alcotest.(check bool) "batching reduced signing invocations" true
-    (r.Sim.mc_sign_calls < r.Sim.mc_baseline_sign_calls);
-  Alcotest.(check bool) "virtual tail latency is populated" true (r.Sim.mc_write_latency.Sim.p99_ms > 0.)
+  let count key = Row.get Row.int key r in
+  Alcotest.(check int) "no client gave up" 0 (count "gave_up");
+  Alcotest.(check int) "every write acked" (count "clients") (count "writes_acked");
+  Alcotest.(check int) "every read-after-write verified" (count "clients") (count "reads_ok");
+  Alcotest.(check bool) "verdict fingerprint identical to sequential" true (Row.get Row.bool "fingerprint_match" r);
+  Alcotest.(check bool) "batching reduced signing invocations" true (count "sign_calls" < count "baseline_sign_calls");
+  Alcotest.(check bool) "virtual tail latency is populated" true
+    (Row.get Row.float "p99_ms" (Row.get Row.row "write_latency" r) > 0.)
 
 (* ---------- SN_current is signed only where a reply carries it ---------- *)
 

@@ -208,20 +208,6 @@ let test_parallel_verify_identical () =
             (Client.verify_read_many ~pool sequential_client items)))
     [ 2; 4 ]
 
-let test_rsa_verify_batch_identical () =
-  let key = Rsa.generate rng ~bits:512 in
-  let pub = Rsa.public_of key in
-  let msgs = List.init 9 (fun i -> Printf.sprintf "msg-%d" i) in
-  let items = List.map (fun m -> (m, Rsa.sign key m)) msgs in
-  (* one forged signature in the middle *)
-  let items =
-    List.mapi (fun i (m, s) -> if i = 4 then (m, String.init (String.length s) (fun _ -> '\x01')) else (m, s)) items
-  in
-  let expected = List.map (fun (msg, signature) -> Rsa.verify pub ~msg ~signature) items in
-  Alcotest.(check (list bool)) "no pool" expected (Rsa.verify_batch pub items);
-  Pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.(check (list bool)) "pooled" expected (Rsa.verify_batch ~pool pub items))
-
 let test_parallel_scrub_identical () =
   (* Slices verify as batches on the shared pool; the report is pinned
      to the one-serial-at-a-time walk's on this fixture, whose first
@@ -335,7 +321,6 @@ let suite =
     ("lru zero capacity", `Quick, test_lru_zero_capacity);
     ("encoded_size mirrors every encoder", `Quick, test_encoded_sizes_match_encoders);
     ("parallel read verification is verdict-identical", `Quick, test_parallel_verify_identical);
-    ("rsa verify_batch is verdict-identical", `Quick, test_rsa_verify_batch_identical);
     ("parallel scrub pass is report-identical", `Quick, test_parallel_scrub_identical);
     ("stale/forged bounds never ride the cache", `Quick, test_cache_rejects_stale_and_forged_bounds);
     ("migration invalidates the verify cache", `Quick, test_migration_invalidates_cache);

@@ -3,6 +3,7 @@
    (absolute values live in EXPERIMENTS.md, shapes are asserted here). *)
 
 module Sim = Worm_sim.Sim
+module Row = Worm_sim.Row
 module Workload = Worm_workload.Workload
 module Drbg = Worm_crypto.Drbg
 module Disk = Worm_simdisk.Disk
@@ -13,6 +14,12 @@ let env = lazy (Sim.make_env ~seed:"test-sim" ())
 
 let run mode ?(record_bytes = 1024) ?(records = 12) () =
   Sim.run_write_burst (Lazy.force env) ~mode ~record_bytes ~records ()
+
+(* Rows are read by key; a missing or mistyped key raises. *)
+let get_int = Row.get Row.int
+let get_float = Row.get Row.float
+let get_str = Row.get Row.str
+let get_bool = Row.get Row.bool
 
 (* ---------- workload ---------- *)
 
@@ -58,69 +65,70 @@ let test_deferring_beats_sustained () =
   (* headline: deferred 512-bit signatures ~5x the strong-signature rate *)
   let strong = run Sim.mode_strong_host_hash () in
   let weak = run Sim.mode_weak_host_hash () in
-  let ratio = weak.Sim.throughput_rps /. strong.Sim.throughput_rps in
+  let ratio = get_float "rps" weak /. get_float "rps" strong in
   Alcotest.(check bool) "4x-6x speedup" true (ratio > 4.0 && ratio < 6.0)
 
 let test_paper_absolute_ranges () =
   (* the paper's headline numbers for 1 KB records *)
   let strong = run Sim.mode_strong_host_hash () in
   Alcotest.(check bool) "sustained 400-500 rec/s" true
-    (strong.Sim.throughput_rps > 400. && strong.Sim.throughput_rps < 500.);
+    (get_float "rps" strong > 400. && get_float "rps" strong < 500.);
   let weak = run Sim.mode_weak_host_hash () in
   Alcotest.(check bool) "deferred 2000-2500 rec/s" true
-    (weak.Sim.throughput_rps > 2000. && weak.Sim.throughput_rps < 2500.)
+    (get_float "rps" weak > 2000. && get_float "rps" weak < 2500.)
 
 let test_scpu_hash_mode_decays_with_size () =
   let small = run Sim.mode_strong_scpu_hash ~record_bytes:1024 () in
   let large = run Sim.mode_strong_scpu_hash ~record_bytes:262144 () in
   Alcotest.(check bool) "size hurts when SCPU hashes" true
-    (large.Sim.throughput_rps < small.Sim.throughput_rps /. 3.)
+    (get_float "rps" large < get_float "rps" small /. 3.)
 
 let test_host_hash_mode_size_independent () =
   let small = run Sim.mode_strong_host_hash ~record_bytes:1024 () in
   let large = run Sim.mode_strong_host_hash ~record_bytes:262144 () in
-  let ratio = large.Sim.throughput_rps /. small.Sim.throughput_rps in
+  let ratio = get_float "rps" large /. get_float "rps" small in
   Alcotest.(check bool) "SCPU-side cost flat" true (ratio > 0.95 && ratio <= 1.05)
 
 let test_hmac_mode_not_scpu_bound () =
   let m = run Sim.mode_mac_host_hash () in
-  Alcotest.(check bool) "scpu not the bottleneck" true (m.Sim.bottleneck <> "scpu");
+  Alcotest.(check bool) "scpu not the bottleneck" true (get_str "bottleneck" m <> "scpu");
   let strong = run Sim.mode_strong_host_hash () in
   Alcotest.(check bool) "far above signature modes" true
-    (m.Sim.throughput_rps > 3. *. strong.Sim.throughput_rps)
+    (get_float "rps" m > 3. *. get_float "rps" strong)
 
 let test_deferred_work_paid_later () =
   let weak = run Sim.mode_weak_host_hash () in
-  Alcotest.(check int) "queue drained in idle" 0 weak.Sim.deferred_after_idle;
-  Alcotest.(check bool) "idle strengthening costs SCPU time" true (weak.Sim.idle_scpu_s > 0.);
+  Alcotest.(check int) "queue drained in idle" 0 (get_int "deferred_after_idle" weak);
+  Alcotest.(check bool) "idle strengthening costs SCPU time" true (get_float "idle_scpu_s" weak > 0.);
   let strong = run Sim.mode_strong_host_hash () in
   Alcotest.(check bool) "strong mode defers almost nothing" true
-    (strong.Sim.idle_scpu_s < weak.Sim.idle_scpu_s /. 2.)
+    (get_float "idle_scpu_s" strong < get_float "idle_scpu_s" weak /. 2.)
 
 (* ---------- I/O bottleneck (§5 closing claim) ---------- *)
 
 let test_io_becomes_bottleneck () =
   let rows = Sim.io_bottleneck (Lazy.force env) ~record_bytes:1024 () in
-  let fast = List.assoc 0.0 rows in
-  Alcotest.(check string) "no-latency disk: WORM layer bound" "scpu" fast.Sim.bottleneck;
-  let slow = List.assoc 3.5 rows in
-  Alcotest.(check string) "enterprise disk: I/O bound" "disk" slow.Sim.bottleneck;
+  let at seek_ms = Row.get Row.row "row" (List.find (fun r -> get_float "seek_ms" r = seek_ms) rows) in
+  let fast = at 0.0 in
+  Alcotest.(check string) "no-latency disk: WORM layer bound" "scpu" (get_str "bottleneck" fast);
+  let slow = at 3.5 in
+  Alcotest.(check string) "enterprise disk: I/O bound" "disk" (get_str "bottleneck" slow);
   Alcotest.(check bool) "throughput collapses with seek" true
-    (slow.Sim.throughput_rps < fast.Sim.throughput_rps)
+    (get_float "rps" slow < get_float "rps" fast)
 
 (* ---------- ablation: window vs Merkle ---------- *)
 
 let test_window_vs_merkle_ablation () =
   let rows = Sim.window_vs_merkle (Lazy.force env) ~ns:[ 256; 4096; 65536 ] in
   (* window cost flat in n *)
-  let w = List.map (fun r -> r.Sim.window_scpu_us_per_update) rows in
+  let w = List.map (get_float "window_us_per_update") rows in
   (match w with
   | [ a; b; c ] ->
       Alcotest.(check bool) "flat window cost" true
         (abs_float (a -. c) /. a < 0.05 && abs_float (a -. b) /. a < 0.05)
   | _ -> Alcotest.fail "rows");
   (* merkle hash count grows logarithmically *)
-  let hashes = List.map (fun r -> r.Sim.merkle_hashes_per_update) rows in
+  let hashes = List.map (get_float "merkle_hashes_per_update") rows in
   match hashes with
   | [ h256; h4096; h65536 ] ->
       Alcotest.(check bool) "log growth" true (h256 < h4096 && h4096 < h65536);
@@ -132,15 +140,15 @@ let test_window_vs_merkle_ablation () =
 
 let test_reads_cost_no_scpu () =
   let rows = Sim.read_mix (Lazy.force env) ~ops:100 ~record_bytes:1024 () in
-  let at f = List.find (fun r -> r.Sim.write_fraction = f) rows in
-  Alcotest.(check (float 0.001)) "read-only load: zero SCPU" 0. (at 0.0).Sim.scpu_us_per_op;
-  Alcotest.(check string) "read-only load runs at disk speed" "disk" (at 0.0).Sim.mix_bottleneck;
+  let at f = List.find (fun r -> get_float "write_fraction" r = f) rows in
+  Alcotest.(check (float 0.001)) "read-only load: zero SCPU" 0. (get_float "scpu_us_per_op" (at 0.0));
+  Alcotest.(check string) "read-only load runs at disk speed" "disk" (get_str "bottleneck" (at 0.0));
   (* SCPU cost per op grows with the write fraction *)
   Alcotest.(check bool) "monotone in write fraction" true
-    ((at 0.1).Sim.scpu_us_per_op < (at 0.5).Sim.scpu_us_per_op
-    && (at 0.5).Sim.scpu_us_per_op < (at 1.0).Sim.scpu_us_per_op);
+    (get_float "scpu_us_per_op" (at 0.1) < get_float "scpu_us_per_op" (at 0.5)
+    && get_float "scpu_us_per_op" (at 0.5) < get_float "scpu_us_per_op" (at 1.0));
   (* a 10%-write mix sustains far more ops than write-only *)
-  Alcotest.(check bool) "read-heavy is much faster" true ((at 0.1).Sim.ops_per_sec > 2. *. (at 1.0).Sim.ops_per_sec)
+  Alcotest.(check bool) "read-heavy is much faster" true (get_float "ops_per_sec" (at 0.1) > 2. *. get_float "ops_per_sec" (at 1.0))
 
 (* ---------- multi-SCPU scaling (§5 closing claim) ---------- *)
 
@@ -150,16 +158,16 @@ let test_cluster_scaling () =
   let rows =
     Sim.cluster_scaling ~records:8 ~strong_bits:512 ~weak_bits:512 ~seed:"test" ~shards_list:[ 1; 2 ] ()
   in
-  Alcotest.(check (list int)) "rows measured for N=1,2" [ 1; 2 ] (List.map (fun r -> r.Sim.cl_shards) rows);
+  Alcotest.(check (list int)) "rows measured for N=1,2" [ 1; 2 ] (List.map (get_int "shards") rows);
   List.iter
-    (fun (r : Sim.cluster_row) ->
-      let at = Printf.sprintf " at N=%d" r.Sim.cl_shards in
-      Alcotest.(check bool) ("proof verifies" ^ at) true r.Sim.cl_proof_ok;
-      Alcotest.(check bool) ("coherent global bound" ^ at) true r.Sim.cl_global_current_ok;
-      Alcotest.(check bool) ("verdicts match the sequential oracle" ^ at) true r.Sim.cl_fingerprint_match)
+    (fun r ->
+      let at = Printf.sprintf " at N=%d" (get_int "shards" r) in
+      Alcotest.(check bool) ("proof verifies" ^ at) true (get_bool "proof_ok" r);
+      Alcotest.(check bool) ("coherent global bound" ^ at) true (get_bool "global_current_ok" r);
+      Alcotest.(check bool) ("verdicts match the sequential oracle" ^ at) true (get_bool "fingerprint_match" r))
     rows;
   match rows with
-  | [ _; r2 ] -> Alcotest.(check bool) "2 shards near 2x" true (r2.Sim.cl_speedup > 1.8 && r2.Sim.cl_speedup <= 2.05)
+  | [ _; r2 ] -> Alcotest.(check bool) "2 shards near 2x" true (get_float "speedup" r2 > 1.8 && get_float "speedup" r2 <= 2.05)
   | _ -> Alcotest.fail "rows"
 
 (* ---------- O(1) crypto-erasure ---------- *)
@@ -171,14 +179,14 @@ let test_tenant_erasure_flat () =
   let rows = Sim.tenant_erasure (Lazy.force env) ~volumes:[ 2; 20; 200; 2_000 ] ~record_bytes:64 () in
   match rows with
   | [ r1; _; _; r4 ] as rows ->
-      let erase r = r.Sim.erase_scpu_us +. r.Sim.erase_host_us in
+      let erase r = get_float "erase_scpu_us" r +. get_float "erase_host_us" r in
       let lo = List.fold_left (fun acc r -> Float.min acc (erase r)) infinity rows in
       let hi = List.fold_left (fun acc r -> Float.max acc (erase r)) 0. rows in
       Alcotest.(check bool) "erasure cost is flat across 3 orders" true (hi <= 1.5 *. lo);
       (* the shred baseline grows with the data, erasure does not *)
       Alcotest.(check bool) "shred baseline is linear" true
-        (r4.Sim.shred_disk_us > 100. *. r1.Sim.shred_disk_us);
-      Alcotest.(check bool) "erasure beats shredding at volume" true (erase r4 < r4.Sim.shred_disk_us)
+        (get_float "shred_disk_us" r4 > 100. *. get_float "shred_disk_us" r1);
+      Alcotest.(check bool) "erasure beats shredding at volume" true (erase r4 < get_float "shred_disk_us" r4)
   | _ -> Alcotest.fail "rows"
 
 (* ---------- storage reduction & burst sustainability ---------- *)
@@ -187,26 +195,26 @@ let test_storage_reduction_shape () =
   let rows = Sim.storage_reduction (Lazy.force env) ~records:200 ~long_lived_every:20 () in
   match rows with
   | [ live; proofs; compacted ] ->
-      Alcotest.(check int) "all records live" 200 live.Sim.entries;
+      Alcotest.(check int) "all records live" 200 (get_int "entries" live);
       (* proofs are much smaller than VRDs... *)
-      Alcotest.(check bool) "proofs shrink the table" true (proofs.Sim.vrdt_bytes < live.Sim.vrdt_bytes);
+      Alcotest.(check bool) "proofs shrink the table" true (get_int "vrdt_bytes" proofs < get_int "vrdt_bytes" live);
       (* ...and compaction expels nearly all of them *)
-      Alcotest.(check int) "only long-lived entries remain" 10 compacted.Sim.entries;
-      Alcotest.(check bool) "windows exist" true (compacted.Sim.windows > 0);
+      Alcotest.(check int) "only long-lived entries remain" 10 (get_int "entries" compacted);
+      Alcotest.(check bool) "windows exist" true (get_int "windows" compacted > 0);
       Alcotest.(check bool) "order-of-magnitude reduction" true
-        (compacted.Sim.vrdt_bytes * 5 < proofs.Sim.vrdt_bytes)
+        (get_int "vrdt_bytes" compacted * 5 < get_int "vrdt_bytes" proofs)
   | _ -> Alcotest.fail "rows"
 
 let test_burst_sustainability_shape () =
   let rows = Sim.burst_sustainability () in
-  let at r = List.find (fun x -> x.Sim.arrival_rps = r) rows in
+  let at r = List.find (fun x -> get_float "arrival_rps" x = r) rows in
   (* at or below the sustained rate the lifetime is the only bound *)
-  Alcotest.(check (float 0.01)) "sustained rate: full lifetime" 120. (at 424.).Sim.max_burst_min;
-  Alcotest.(check (float 0.01)) "100/s: full lifetime" 120. (at 100.).Sim.max_burst_min;
+  Alcotest.(check (float 0.01)) "sustained rate: full lifetime" 120. (get_float "max_burst_min" (at 424.));
+  Alcotest.(check (float 0.01)) "100/s: full lifetime" 120. (get_float "max_burst_min" (at 100.));
   (* at the paper's burst rate the repayment bound binds *)
-  let headline = (at 2096.).Sim.max_burst_min in
+  let headline = get_float "max_burst_min" (at 2096.) in
   Alcotest.(check bool) "2096/s bounded by repayment" true (headline > 20. && headline < 30.);
-  Alcotest.(check bool) "monotone decreasing" true ((at 4000.).Sim.max_burst_min < headline)
+  Alcotest.(check bool) "monotone decreasing" true (get_float "max_burst_min" (at 4000.) < headline)
 
 (* ---------- adaptive day (§4.3 controller end to end) ---------- *)
 
@@ -215,24 +223,33 @@ let test_adaptive_day () =
   Alcotest.(check int) "four phases" 4 (List.length rows);
   List.iter
     (fun r ->
-      Alcotest.(check int) (r.Sim.phase ^ ": nothing overdue") 0 r.Sim.overdue_after;
+      Alcotest.(check int) (get_str "phase" r ^ ": nothing overdue") 0 (get_int "overdue_after" r);
       Alcotest.(check int)
-        (r.Sim.phase ^ ": counts add up")
-        r.Sim.writes
-        (r.Sim.strong + r.Sim.weak + r.Sim.mac))
+        (get_str "phase" r ^ ": counts add up")
+        (get_int "writes" r)
+        (get_int "strong" r + get_int "weak" r + get_int "mac" r))
     rows;
-  let phase name = List.find (fun r -> r.Sim.phase = name) rows in
+  let phase name = List.find (fun r -> get_str "phase" r = name) rows in
   (* trickles run strong; bursts defer; the flood reaches MAC witnessing *)
-  Alcotest.(check int) "trickle all strong" 0 ((phase "lunch trickle").Sim.weak + (phase "lunch trickle").Sim.mac);
-  Alcotest.(check bool) "opening burst defers" true ((phase "opening burst").Sim.weak > 0);
-  Alcotest.(check bool) "closing flood hits mac" true ((phase "closing flood").Sim.mac > 0)
+  Alcotest.(check int) "trickle all strong" 0 (get_int "weak" (phase "lunch trickle") + get_int "mac" (phase "lunch trickle"));
+  Alcotest.(check bool) "opening burst defers" true (get_int "weak" (phase "opening burst") > 0);
+  Alcotest.(check bool) "closing flood hits mac" true (get_int "mac" (phase "closing flood") > 0)
+
+(* ---------- result rows ---------- *)
+
+let test_row_get_names_the_key () =
+  let r = Row.[ ("rps", Float 1.); ("bottleneck", Str "scpu") ] in
+  Alcotest.(check (float 0.)) "present key of the right kind" 1. (get_float "rps" r);
+  Alcotest.check_raises "missing key" (Failure "Row.get: no key \"rsp\"") (fun () -> ignore (get_float "rsp" r));
+  Alcotest.check_raises "wrong kind" (Failure "Row.get: key \"bottleneck\" is not a float") (fun () ->
+      ignore (get_float "bottleneck" r))
 
 (* ---------- Table 2 regeneration ---------- *)
 
 let test_table2_rows_complete () =
   let rows = Sim.table2 () in
   Alcotest.(check int) "six rows" 6 (List.length rows);
-  let ops = List.map (fun r -> r.Sim.operation) rows in
+  let ops = List.map (get_str "operation") rows in
   Alcotest.(check bool) "has rsa rows" true (List.exists (fun o -> o = "RSA sig, 1024 bits") ops);
   Alcotest.(check bool) "has hash rows" true (List.exists (fun o -> o = "SHA-1, 64 KB blocks") ops);
   Alcotest.(check bool) "has dma row" true (List.exists (fun o -> o = "DMA transfer, end-to-end") ops)
@@ -257,6 +274,7 @@ let suite =
     ("burst sustainability", `Quick, test_burst_sustainability_shape);
     ("adaptive day", `Quick, test_adaptive_day);
     ("table 2 rows", `Quick, test_table2_rows_complete);
+    ("row accessor names the key", `Quick, test_row_get_names_the_key);
   ]
 
 let () = Alcotest.run "worm_sim" [ ("sim", suite) ]

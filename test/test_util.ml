@@ -194,66 +194,6 @@ let prop_words_match_ref =
       in
       String.equal ours bytes && Codec.decode read bytes = Ok (a, b, c, d))
 
-(* ---------- slice decoder bounds ---------- *)
-
-let test_decoder_sub_bounds () =
-  let s = "abcdefgh" in
-  Alcotest.check_raises "negative pos" (Invalid_argument "Codec.decoder_sub") (fun () ->
-      ignore (Codec.decoder_sub s ~pos:(-1) ~len:2));
-  Alcotest.check_raises "negative len" (Invalid_argument "Codec.decoder_sub") (fun () ->
-      ignore (Codec.decoder_sub s ~pos:0 ~len:(-1)));
-  Alcotest.check_raises "past end" (Invalid_argument "Codec.decoder_sub") (fun () ->
-      ignore (Codec.decoder_sub s ~pos:6 ~len:3));
-  Alcotest.check_raises "overflowing pos" (Invalid_argument "Codec.decoder_sub") (fun () ->
-      ignore (Codec.decoder_sub s ~pos:max_int ~len:1));
-  (* a valid window reads only its own bytes and hits Truncated at the
-     window edge, not the string's *)
-  let d = Codec.decoder_sub s ~pos:2 ~len:2 in
-  Alcotest.(check int) "window u16" 0x6364 (Codec.read_u16 d);
-  Alcotest.check_raises "window exhausted" Codec.Truncated (fun () -> ignore (Codec.read_u8 d))
-
-let test_raw_sub_bounds () =
-  Codec.with_encoder (fun e ->
-      Alcotest.check_raises "raw_sub past end" (Invalid_argument "Codec.raw_sub") (fun () ->
-          Codec.raw_sub e "abc" ~pos:2 ~len:2);
-      Alcotest.check_raises "raw_sub negative" (Invalid_argument "Codec.raw_sub") (fun () ->
-          Codec.raw_sub e "abc" ~pos:(-1) ~len:1);
-      Codec.raw_sub e "abcdef" ~pos:1 ~len:4;
-      Alcotest.(check string) "raw_sub bytes" "bcde" (Codec.to_string e))
-
-let test_slice_views () =
-  let bytes =
-    Codec.encode
-      (fun e () ->
-        Codec.bytes e "inner-payload";
-        Codec.u16 e 0xbeef)
-      ()
-  in
-  let d = Codec.decoder bytes in
-  let s = Codec.read_bytes_slice d in
-  Alcotest.(check string) "slice materializes" "inner-payload" (Codec.slice_string s);
-  Alcotest.(check int) "outer decode continues" 0xbeef (Codec.read_u16 d);
-  Codec.expect_end d;
-  (* a slice over a framed sub-message decodes in place *)
-  let framed =
-    Codec.encode
-      (fun e () ->
-        Codec.bytes e (Codec.encode (fun e () -> Codec.u32 e 42) ());
-        Codec.u8 e 7)
-      ()
-  in
-  let d = Codec.decoder framed in
-  let inner = Codec.read_bytes_slice d in
-  let di = Codec.slice_decoder inner in
-  Alcotest.(check int) "inner u32" 42 (Codec.read_u32 di);
-  Codec.expect_end di;
-  Alcotest.(check int) "outer tail" 7 (Codec.read_u8 d);
-  (* a length prefix larger than the remaining input must truncate, not
-     hand out a slice past the end *)
-  let d = Codec.decoder "\x00\x00\x00\xff" in
-  Alcotest.check_raises "oversized length prefix" Codec.Truncated (fun () ->
-      ignore (Codec.read_bytes_slice d))
-
 let test_pool_reuse () =
   let before = (Codec.pool_stats ()).Codec.pool_reused in
   ignore (Codec.encode (fun e () -> Codec.u8 e 1) ());
@@ -279,9 +219,6 @@ let suite =
     ("codec truncation", `Quick, test_codec_truncation);
     ("codec trailing bytes", `Quick, test_codec_trailing);
     ("codec strict tags", `Quick, test_codec_bool_strict);
-    ("slice decoder bounds", `Quick, test_decoder_sub_bounds);
-    ("raw_sub bounds", `Quick, test_raw_sub_bounds);
-    ("slice views", `Quick, test_slice_views);
     ("encoder pool reuse", `Quick, test_pool_reuse);
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     QCheck_alcotest.to_alcotest prop_ct_matches_structural;
