@@ -21,7 +21,8 @@
      wire       message encode/decode rates and per-op allocation
      local      Figure 1 re-projected onto THIS host's measured rates,
                 + the pooled signing domain curve (exit 1 if it differs)
-     readthroughput  verified reads/s: domain pool x verify cache, + projection
+     readthroughput  verified reads/s: domain pool x verify cache, + projection,
+                + one strong read's latency per pool size
                 (exit 1 if pooled verdicts differ from sequential ones)
      bechamel   real wall-clock rates of the pure-OCaml primitives
 
@@ -427,6 +428,34 @@ let readthroughput ~quick ~env:_ =
         (domains, rps, identical, stats))
       (curve_domains ())
   in
+  (* One strong Found read (the first 1 KiB keeper) as a one-item
+     batch: above one domain it splits into the metasig check beside the
+     datasig check plus the chained hash. *)
+  let single = [ List.nth items 1 ] in
+  let single_reference = Core.Client.verify_read_many ~pool:sequential baseline_client single in
+  let single_curve =
+    List.map
+      (fun domains ->
+        let client = Core.Client.for_store ~ca ~clock store in
+        let pool = Pool.create ~domains () in
+        let identical = Core.Client.verify_read_many ~pool client single = single_reference in
+        let t =
+          time_per_op ~min_time_s:budget ~min_iters:8 (fun () -> Core.Client.verify_read_many ~pool client single)
+        in
+        Pool.shutdown pool;
+        (domains, t, identical))
+      (curve_domains ())
+  in
+  let single_row (domains, t, identical) =
+    let t1 = match single_curve with (_, t1, _) :: _ -> t1 | [] -> nan in
+    Row.
+      [
+        ("domains", Int domains);
+        ("read_us", Float (t *. 1e6));
+        ("speedup_vs_1_domain", Float (t1 /. t));
+        ("identical_to_sequential", Bool identical);
+      ]
+  in
   let speedup_at d =
     match List.find_opt (fun (domains, _, _, _) -> domains = d) curve with
     | Some (_, rps, _, _) -> rps /. baseline_rps
@@ -473,6 +502,12 @@ let readthroughput ~quick ~env:_ =
             ("baseline_nocache_rps", Float baseline_rps);
             ("rows", table (List.map curve_row curve));
             ("speedup_at_4_domains", Float (speedup_at 4));
+            ( "single_read",
+              Row
+                [
+                  ("verdict", Str (Core.Client.verdict_name (snd (List.hd single_reference))));
+                  ("rows", table (List.map single_row single_curve));
+                ] );
             ("measured", Row [ ("rsa_1024_verify_per_sec", Float vps); ("sha256_1k_bytes_per_sec", Float h1k) ]);
             ( "projection",
               table (Sim.read_projection ~verify_per_sec:vps ~hash_bytes_per_sec:h1k ~sizes:[ 1024; 16384; 65536 ] ())
@@ -643,7 +678,8 @@ let sections =
       readthroughput
       ~gate:
         (gate "readthroughput: pooled or cached verification differs from the sequential baseline" (fun r ->
-             all "identical_to_sequential" (Row.get Row.rows "rows" (at [ "readthroughput" ] r))));
+             all "identical_to_sequential" (Row.get Row.rows "rows" (at [ "readthroughput" ] r))
+             && all "identical_to_sequential" (Row.get Row.rows "rows" (at [ "readthroughput"; "single_read" ] r))));
     section "bechamel" "BECHAMEL -- wall-clock rates of the pure-OCaml primitives on this host" bechamel;
   ]
 

@@ -218,14 +218,37 @@ let check_current_bound t (bound : Firmware.current_bound) =
       let fresh = fetch () in
       if verify_current_bound_sig t fresh then Ok fresh else Error Current_bound_invalid
 
-(* A single read verifies on the caller's domain; batches fan out per
-   record in [verify_read_many]. *)
-let verify_found t ~sn (vrd : Vrd.t) blocks =
+(* One RSA verify under the signing key is worth handing to a second
+   domain; a short-term key's verify is not. *)
+let is_strong = function
+  | Witness.Strong _ -> true
+  | Witness.Weak _ | Witness.Mac _ -> false
+
+(* A record with a [Strong] witness verifies as one 2-task batch on
+   [pool]: the metasig check beside the datasig check plus the chained
+   hash. Weak- and MAC-only records, and a 1-domain pool, run both
+   inline. Violations are collected once both sides are done. Task 0
+   runs on the calling domain, so it takes the side that may be weak:
+   the memo and the per-domain encoder pool see the same calls from the
+   same domain as inline, and another domain only runs a [Strong] check
+   (with two, the lighter metasig check, which absorbs the wake-up). *)
+let verify_found ~pool t ~sn (vrd : Vrd.t) blocks =
   let meta_msg = Wire.metasig_msg ~store_id:t.store_id ~sn:vrd.Vrd.sn ~attr_bytes:(Attr.to_bytes vrd.Vrd.attr) in
   let data_msg = Wire.datasig_msg ~store_id:t.store_id ~sn:vrd.Vrd.sn ~data_hash:vrd.Vrd.data_hash in
-  let meta_res = check_witness t meta_msg vrd.Vrd.metasig in
-  let data_res = check_witness t data_msg vrd.Vrd.datasig in
-  let actual_hash = Chained_hash.value (Chained_hash.of_blocks blocks) in
+  let check_meta () = check_witness t meta_msg vrd.Vrd.metasig in
+  let check_data () =
+    (check_witness t data_msg vrd.Vrd.datasig, Chained_hash.value (Chained_hash.of_blocks blocks))
+  in
+  let meta_res, (data_res, actual_hash) =
+    if Worm_util.Pool.size pool > 1 && (is_strong vrd.Vrd.metasig || is_strong vrd.Vrd.datasig) then begin
+      let meta = ref (Error ()) and data = ref (Error (), "") in
+      let run_meta () = meta := check_meta () and run_data () = data := check_data () in
+      let tasks = if is_strong vrd.Vrd.metasig then [| run_data; run_meta |] else [| run_meta; run_data |] in
+      Worm_util.Pool.parallel_for pool ~n:2 (fun i -> tasks.(i) ());
+      (!meta, !data)
+    end
+    else (check_meta (), check_data ())
+  in
   let violations = ref [] in
   let flag v = violations := v :: !violations in
   if not (Serial.equal vrd.Vrd.sn sn) then flag Wrong_serial;
@@ -248,9 +271,9 @@ let verify_found t ~sn (vrd : Vrd.t) blocks =
   | [] -> if meta_ok && data_ok then Valid_data { vrd; blocks } else Committed_unverifiable
   | vs -> Violation (List.rev vs)
 
-let verify_read t ~sn (response : Proof.read_response) =
+let verify_response ~pool t ~sn (response : Proof.read_response) =
   match response with
-  | Proof.Found { vrd; blocks } -> verify_found t ~sn vrd blocks
+  | Proof.Found { vrd; blocks } -> verify_found ~pool t ~sn vrd blocks
   | Proof.Proof_deleted { sn = psn; proof } ->
       let msg = Wire.deletion_msg ~store_id:t.store_id ~sn in
       if not (Serial.equal psn sn) then Violation [ Deletion_proof_invalid ]
@@ -317,6 +340,8 @@ let verify_read t ~sn (response : Proof.read_response) =
       end
   | Proof.Refused _ -> Violation [ Absence_unproven ]
 
+let verify_read t ~sn response = verify_response ~pool:(Worm_util.Pool.shared ()) t ~sn response
+
 (* Standalone CA-rooted check of an erasure certificate, for callers
    that hold the cert without a record to read it through — the tenant
    itself validating its own "right to be forgotten" receipt, or an
@@ -344,13 +369,18 @@ let must_verify_inline t = function
   | Proof.Erased _ | Proof.Refused _ ->
       false
 
+(* Verifies inline: the tasks of a [verify_read_many] batch are already
+   spread over the pool, so a record inside one never fans out again. *)
+let sequential = Worm_util.Pool.create ~domains:1 ()
+
 let verify_read_many ?(pool = Worm_util.Pool.shared ()) t items =
   if Worm_util.Pool.size pool > 1 && List.length items > 1 then begin
     let arr = Array.of_list items in
     let results =
       Worm_util.Pool.parallel_map pool
         (fun (sn, response) ->
-          if must_verify_inline t response then None else Some (sn, verify_read t ~sn response))
+          if must_verify_inline t response then None
+          else Some (sn, verify_response ~pool:sequential t ~sn response))
         arr
     in
     (* Firmware-touching verdicts run here, in input order. *)
@@ -358,11 +388,11 @@ let verify_read_many ?(pool = Worm_util.Pool.shared ()) t items =
       (fun i r ->
         if r = None then
           let sn, response = arr.(i) in
-          results.(i) <- Some (sn, verify_read t ~sn response))
+          results.(i) <- Some (sn, verify_response ~pool:sequential t ~sn response))
       results;
     Array.to_list (Array.map Option.get results)
   end
-  else List.map (fun (sn, response) -> (sn, verify_read t ~sn response)) items
+  else List.map (fun (sn, response) -> (sn, verify_response ~pool t ~sn response)) items
 
 let verify_migration t ~target_store_id ~base ~current ~content_hash ~manifest_sig =
   let msg =

@@ -95,16 +95,26 @@ let option item e = function
 
 (* Per-domain free list: client verification fans encodes across
    Worm_util.Pool domains, so a global stack would race. DLS keeps the
-   hot path lock-free; the Atomic counters only aggregate stats. *)
-let pool_key : encoder list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
+   hot path lock-free; the Atomic counters only aggregate stats. A
+   domain's list is seeded with one encoder on its first borrow, so
+   [pool_fresh] counts only borrows that found the list empty (nested
+   borrows) and does not depend on which domains a batch ran on. *)
 let pool_reused = Atomic.make 0
 let pool_fresh = Atomic.make 0
+let pool_domains = Atomic.make 0
+
+let pool_key : encoder list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      Atomic.incr pool_domains;
+      ref [ make () ])
 let max_pooled = 8
 let max_retained_bytes = 1 lsl 16
 
-type pool_stats = { pool_reused : int; pool_fresh : int }
+type pool_stats = { pool_reused : int; pool_fresh : int; pool_domains : int }
 
-let pool_stats () = { pool_reused = Atomic.get pool_reused; pool_fresh = Atomic.get pool_fresh }
+let pool_stats () =
+  { pool_reused = Atomic.get pool_reused; pool_fresh = Atomic.get pool_fresh;
+    pool_domains = Atomic.get pool_domains }
 
 let with_encoder f =
   let free = Domain.DLS.get pool_key in

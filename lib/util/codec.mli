@@ -51,10 +51,13 @@ val with_encoder : (encoder -> 'a) -> 'a
     the pool when [f] finishes (exception-safe). Nesting borrows is
     fine — each gets its own encoder. *)
 
-type pool_stats = { pool_reused : int; pool_fresh : int }
+type pool_stats = { pool_reused : int; pool_fresh : int; pool_domains : int }
 
 val pool_stats : unit -> pool_stats
-(** Aggregate borrow counters across all domains since program start. *)
+(** Aggregate borrow counters across all domains since program start.
+    Each domain's pool starts with one encoder, built on its first
+    borrow and counted in [pool_domains]; [pool_reused] counts borrows
+    served from a pool, [pool_fresh] those that found it empty. *)
 
 type decoder
 (** Read cursor over an encoded string. *)

@@ -2,17 +2,21 @@
 
     The process has one {!shared} pool, which nothing shuts down. The
     SCPU device signs its batches on it (the paper's SCPU is a card of
-    its own, signing beside the host), and batched host-side
-    verification runs on it: the paper's read path is host-CPU-only
-    (§4.2.2). Pools made with {!create} are only for a fixed size: a
+    its own, signing beside the host), and host-side verification runs
+    on it: the paper's read path is host-CPU-only (§4.2.2). A batch of
+    reads spreads its records over it, and a single read of a strongly
+    witnessed record splits its metasig and datasig checks over it.
+    Pools made with {!create} are only for a fixed size: a
     1/2/4-domain curve, or a test comparing a pooled result with a
     sequential one.
 
     A pool of size [n] uses [n - 1] persistent worker domains plus the
     submitting domain, which drains the same queue while it waits, so a
     busy pool degrades toward inline execution and a task may submit a
-    batch to the pool it runs on. A pool of size 1 spawns no domains and
-    runs every batch sequentially in the caller.
+    batch to the pool it runs on. The queue is first in, first out, so
+    with no other batch queued the submitter runs its batch's first
+    chunk itself. A pool of size 1 spawns no domains and runs every
+    batch sequentially in the caller.
 
     Batches are synchronous: [parallel_map]/[parallel_for] return only
     after every element has been processed. If any element raises, the

@@ -66,3 +66,15 @@ let check_verdict name expected env sn =
 let fresh_authority env =
   incr counter;
   Authority.create ~ca:(Lazy.force ca) ~clock:env.clock ~rng ~name:(Printf.sprintf "authority-%d" !counter)
+
+(* A Weak_deferred record under a litigation hold: the hold re-signs
+   its metasig with the SCPU's own key, so it reads Strong-meta /
+   Weak-data. *)
+let write_held_weak env =
+  let sn = write env ~witness:Firmware.Weak_deferred ~blocks:[ "held" ] () in
+  match
+    Authority.place_hold (fresh_authority env) ~store:env.store ~sn ~lit_id:"case-7"
+      ~timeout:(Int64.add (Clock.now env.clock) (Clock.ns_of_sec 7200.))
+  with
+  | Ok () -> sn
+  | Error e -> Alcotest.fail (Firmware.error_to_string e)

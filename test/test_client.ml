@@ -179,6 +179,37 @@ let test_weak_cert_verified_once () =
       | v -> Alcotest.fail (Client.verdict_name v))
   | _ -> Alcotest.fail "record not found"
 
+let test_fanned_read_memo_deterministic () =
+  (* a Strong-meta / Weak-data read fans out on two domains; only its
+     data side looks up the memo, so ten reads miss exactly once *)
+  let env = fresh_env () in
+  let sn = write_held_weak env in
+  let response = Worm.read env.store sn in
+  (match response with
+  | Proof.Found { vrd; _ } ->
+      Alcotest.(check (pair string string)) "witness strengths" ("strong", "weak")
+        (Witness.strength_name (Witness.strength vrd.Vrd.metasig), Witness.strength_name (Witness.strength vrd.Vrd.datasig))
+  | _ -> Alcotest.fail "record not found");
+  let stats () =
+    match Client.verify_cache_stats env.client with
+    | Some s -> (s.Client.cache_hits, s.Client.cache_misses)
+    | None -> Alcotest.fail "client has no verify memo"
+  in
+  let domains () = (Worm_util.Codec.pool_stats ()).Worm_util.Codec.pool_domains in
+  let hits0, misses0 = stats () and domains0 = domains () in
+  Worm_util.Pool.with_pool ~domains:2 (fun pool ->
+      for _ = 1 to 10 do
+        match Client.verify_read_many ~pool env.client [ (sn, response) ] with
+        | [ (_, v) ] -> Alcotest.(check string) "fanned read verifies" "valid-data" (Client.verdict_name v)
+        | _ -> Alcotest.fail "one verdict per item"
+      done);
+  let hits1, misses1 = stats () in
+  Alcotest.(check int) "certificate signature verified once" 1 (misses1 - misses0);
+  Alcotest.(check int) "other nine certificate checks hit the memo" 9 (hits1 - hits0);
+  (* the weak side encodes memo keys; it stays on this domain, whose
+     encoders are warm, so the worker domain never builds one *)
+  Alcotest.(check int) "no encoder built on the worker domain" domains0 (domains ())
+
 let test_direct_scpu_freshness_ignores_timestamps () =
   (* under option (i) even an ancient served bound is fine — the client
      substitutes its own direct query *)
@@ -244,6 +275,7 @@ let suite =
     ("window not covering rejected", `Quick, test_window_not_covering_rejected);
     ("lapsed weak witness rejected", `Quick, test_lapsed_weak_witness_rejected);
     ("weak certificate verified once", `Quick, test_weak_cert_verified_once);
+    ("fanned strong-meta weak-data read misses the memo once", `Quick, test_fanned_read_memo_deterministic);
     ("direct-SCPU freshness (option i)", `Quick, test_direct_scpu_freshness_ignores_timestamps);
     ("migration attestation", `Quick, test_migration_attestation_check);
     ("cross-store responses rejected", `Quick, test_client_of_other_store_rejects);

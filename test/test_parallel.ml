@@ -225,6 +225,81 @@ let test_parallel_scrub_identical () =
     ]
     (List.map (Format.asprintf "%a" Finding.pp) r.Report.findings)
 
+(* One read whose metasig or datasig is Strong splits into a 2-task
+   batch; its verdict, violation order included, must match the inline
+   check of a 1-domain pool on every witness mix and every tamper. *)
+let test_single_read_fan_out_identical () =
+  let env = fresh_env () in
+  let strong = write env ~witness:Firmware.Strong_now ~blocks:[ "a"; "b" ] () in
+  let weak = write env ~witness:Firmware.Weak_deferred () in
+  let mac = write env ~witness:Firmware.Mac_deferred () in
+  let held = write_held_weak env in
+  let erased = Worm.write env.store ~tenant:"alice" ~policy:(short_policy ()) ~blocks:[ "secret" ] in
+  ignore (Worm.erase_tenant env.store ~tenant:"alice");
+  let vrd, blocks =
+    match Worm.read env.store strong with
+    | Proof.Found { vrd; blocks } -> (vrd, blocks)
+    | _ -> Alcotest.fail "strong record not found"
+  in
+  let flip s =
+    let b = Bytes.of_string s in
+    Bytes.set b 3 (Char.chr (Char.code (Bytes.get b 3) lxor 1));
+    Bytes.to_string b
+  in
+  let flip_witness = function
+    | Witness.Strong s -> Witness.Strong (flip s)
+    | _ -> Alcotest.fail "expected a strong witness"
+  in
+  let found ?(vrd = vrd) ?(blocks = blocks) () = Proof.Found { vrd; blocks } in
+  let violation vs = Client.verdict_name (Client.Violation vs) in
+  let cases =
+    [
+      ("strong", strong, Worm.read env.store strong, "valid-data");
+      ("weak", weak, Worm.read env.store weak, "valid-data");
+      ("mac", mac, Worm.read env.store mac, "committed-unverifiable");
+      ("strong meta, weak data", held, Worm.read env.store held, "valid-data");
+      ("erased", erased, Worm.read env.store erased, "properly-erased");
+      ( "flipped metasig",
+        strong,
+        found ~vrd:{ vrd with Vrd.metasig = flip_witness vrd.Vrd.metasig } (),
+        violation [ Client.Meta_witness_invalid ] );
+      ( "flipped datasig",
+        strong,
+        found ~vrd:{ vrd with Vrd.datasig = flip_witness vrd.Vrd.datasig } (),
+        violation [ Client.Data_witness_invalid ] );
+      ("flipped block", strong, found ~blocks:[ "a"; flip "bbbb" ] (), violation [ Client.Data_mismatch ]);
+      ("wrong serial", weak, found (), violation [ Client.Wrong_serial ]);
+      ( "both signatures flipped",
+        strong,
+        found
+          ~vrd:
+            { vrd with Vrd.metasig = flip_witness vrd.Vrd.metasig; datasig = flip_witness vrd.Vrd.datasig }
+          (),
+        violation [ Client.Meta_witness_invalid; Client.Data_witness_invalid ] );
+    ]
+  in
+  let uncached = Client.for_store ~ca:(ca_pub ()) ~clock:env.clock ~verify_cache:0 env.store in
+  Pool.with_pool ~domains:1 (fun one ->
+      Pool.with_pool ~domains:2 (fun two ->
+          List.iter
+            (fun (name, sn, response, expected) ->
+              let item = [ (sn, response) ] in
+              let reference = Client.verify_read_many ~pool:one uncached item in
+              let check what got = Alcotest.(check bool) (name ^ ": " ^ what) true (got = reference) in
+              Alcotest.(check (list string)) (name ^ ": sequential verdict") [ expected ]
+                (List.map (fun (_, v) -> Client.verdict_name v) reference);
+              check "2-domain pool, uncached" (Client.verify_read_many ~pool:two uncached item);
+              check "2-domain pool, cached" (Client.verify_read_many ~pool:two env.client item);
+              check "verify_read" [ (sn, Client.verify_read env.client ~sn response) ];
+              (* a read inside a task of the pool it fans out on *)
+              Array.iter (check "nested on the 2-domain pool")
+                (Pool.parallel_map two (fun () -> Client.verify_read_many ~pool:two env.client item) [| (); () |]);
+              Array.iter (check "verify_read nested on the shared pool")
+                (Pool.parallel_map (Pool.shared ())
+                   (fun () -> [ (sn, Client.verify_read env.client ~sn response) ])
+                   [| (); () |]))
+            cases))
+
 (* ---------------------------------------------------------------- *)
 (* Verify-cache attack surface *)
 
@@ -322,6 +397,7 @@ let suite =
     ("encoded_size mirrors every encoder", `Quick, test_encoded_sizes_match_encoders);
     ("parallel read verification is verdict-identical", `Quick, test_parallel_verify_identical);
     ("parallel scrub pass is report-identical", `Quick, test_parallel_scrub_identical);
+    ("single strong read fan-out is verdict-identical", `Quick, test_single_read_fan_out_identical);
     ("stale/forged bounds never ride the cache", `Quick, test_cache_rejects_stale_and_forged_bounds);
     ("migration invalidates the verify cache", `Quick, test_migration_invalidates_cache);
     ("cache disabled and invalid capacities", `Quick, test_cache_disabled_and_bad_capacity);
