@@ -71,10 +71,15 @@ val deletion_cert : t -> Worm_crypto.Cert.t
 (** {2 Signing services} *)
 
 val sign_strong : t -> string -> string
-(** Sign with s (metasig, datasig, window bounds). *)
+(** Sign with s (metasig, datasig, window bounds). Charges and counts
+    one strong signature. The key check, the charge and the count run
+    in the caller; then [Rsa.sign] splits the signature's two CRT
+    halves over {!Worm_util.Pool.shared} when the key has at least 1024
+    bits and the pool a second domain. The signature, the ledger and
+    the stats are those of the sequential path. *)
 
 val sign_deletion : t -> string -> string
-(** Sign with d (deletion proofs). *)
+(** Sign with d (deletion proofs); split like {!sign_strong}. *)
 
 val sign_weak : t -> string -> Worm_crypto.Cert.t * string
 (** Sign with the current short-lived key; returns its certificate. *)
@@ -86,11 +91,12 @@ val sign_strong_batch : t -> string list -> string list
 
     Every batch form fans its signatures out on {!Worm_util.Pool.shared},
     the model of the SCPU's crypto engine signing beside the host; the
-    host's batched read verification shares the same pool, and a
-    one-element batch signs in the caller. The signatures, the ledger
-    and the stats are exactly those of the sequential path: key checks,
-    charging and counting run in the caller before anything is handed
-    to the pool. *)
+    host's batched read verification shares the same pool. A batch of
+    two or more signs each message inline on one of the pool's domains;
+    a one-element batch splits its CRT halves like {!sign_strong}. The
+    signatures, the ledger and the stats are exactly those of the
+    sequential path: key checks, charging and counting run in the
+    caller before anything is handed to the pool. *)
 
 val sign_deletion_batch : t -> string list -> string list
 (** Batch form of {!sign_deletion}; pooled like {!sign_strong_batch}. *)

@@ -2,8 +2,11 @@
 
     The process has one {!shared} pool, which nothing shuts down. The
     SCPU device signs its batches on it (the paper's SCPU is a card of
-    its own, signing beside the host), and host-side verification runs
-    on it: the paper's read path is host-CPU-only (§4.2.2). A batch of
+    its own, signing beside the host), and one signature under a key of
+    at least 1024 bits splits its two CRT half-exponentiations over it
+    (every [Rsa.sign]: refreshed bounds, heartbeats, deletion proofs,
+    window bounds, certificates). Host-side verification runs on it
+    too: the paper's read path is host-CPU-only (§4.2.2). A batch of
     reads spreads its records over it, and a single read of a strongly
     witnessed record splits its metasig and datasig checks over it.
     Pools made with {!create} are only for a fixed size: a

@@ -210,6 +210,60 @@ let test_concurrent_signing () =
             (Rsa.sign_batch ~pool key [ "one" ]))
         (Lazy.force kat_keys))
 
+(* One signature under a key of at least 1024 bits splits its two CRT
+   halves over a pool: [Rsa.sign] on the shared pool, a one-message
+   [sign_batch] on the pool it is given. Either must give the bytes of
+   the sequential private operation, also when called from inside a
+   task of either pool (a split nested in a pooled task must not
+   deadlock). The reference encodes PKCS#1 v1.5 itself and signs
+   through [raw_apply_secret]. *)
+let sequential_signature key msg =
+  let pub = Rsa.public_of key in
+  let k = (Nat.bit_length pub.Rsa.n + 7) / 8 in
+  let digest_info = Worm_util.Hex.decode "3031300d060960864801650304020105000420" ^ Sha256.digest msg in
+  let em = "\x00\x01" ^ String.make (k - String.length digest_info - 3) '\xff' ^ "\x00" ^ digest_info in
+  Nat.to_bytes_be_padded ~len:k (Rsa.raw_apply_secret key (Nat.of_bytes_be em))
+
+let test_split_signing () =
+  let msgs = kat_msgs @ List.init 5 (Printf.sprintf "split message %d") in
+  let shared = Worm_util.Pool.shared () in
+  Worm_util.Pool.with_pool ~domains:2 (fun pool2 ->
+      let one_item pool key msg =
+        match Rsa.sign_batch ~pool key [ msg ] with [ s ] -> s | _ -> Alcotest.fail "one signature per message"
+      in
+      let signers =
+        [
+          ("sign", Rsa.sign);
+          ("one-item batch, shared pool", one_item shared);
+          ("one-item batch, 2-domain pool", one_item pool2);
+        ]
+      in
+      let callers =
+        [
+          ("caller", List.map);
+          ("shared-pool tasks", Worm_util.Pool.map_list shared);
+          ("2-domain-pool tasks", Worm_util.Pool.map_list pool2);
+        ]
+      in
+      List.iter
+        (fun (key, bits, fingerprint, _) ->
+          if bits >= 1024 then begin
+            let expected = List.map (sequential_signature key) msgs in
+            Alcotest.(check (list string))
+              (Printf.sprintf "rsa-%d %s unpooled batch = raw_apply_secret" bits fingerprint)
+              expected (Rsa.sign_batch key msgs);
+            List.iter
+              (fun (signer, sign) ->
+                List.iter
+                  (fun (caller, map) ->
+                    Alcotest.(check (list string))
+                      (Printf.sprintf "rsa-%d %s %s from %s = raw_apply_secret" bits fingerprint signer caller)
+                      expected (map (sign key) msgs))
+                  callers)
+              signers
+          end)
+        (Lazy.force kat_keys))
+
 let suite =
   [
     ("small primes classified", `Quick, test_small_primes);
@@ -228,6 +282,7 @@ let suite =
     ("cert codec", `Quick, test_cert_codec);
     ("known-answer keys and signatures", `Quick, test_known_answers);
     ("concurrent signing under one key", `Quick, test_concurrent_signing);
+    ("split signing equals sequential", `Quick, test_split_signing);
     QCheck_alcotest.to_alcotest prop_sign_verify;
     QCheck_alcotest.to_alcotest prop_signature_not_transferable;
   ]

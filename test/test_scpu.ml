@@ -196,6 +196,34 @@ let test_zeroized_batch_refused () =
   Alcotest.(check int64) "nothing charged" busy (Device.busy_ns dev);
   Alcotest.(check bool) "nothing counted" true (stats = Device.stats dev)
 
+(* A single strong or deletion signature under a 1024-bit key splits
+   over the shared pool. The key check, the charge and the count run in
+   the caller before any task is submitted: one [rsa_sign_ns] and one
+   [sign_calls] per signature, and a zeroized device refuses before
+   anything is charged. *)
+let test_single_sign_split () =
+  let dev, _ = fresh_device ~config:Device.default_config () in
+  Device.reset_busy dev;
+  let per_sig = Cost_model.rsa_sign_ns (Device.config dev).Device.profile ~bits:1024 in
+  let s = Device.sign_strong dev "one strong" in
+  Alcotest.(check bool) "strong verifies" true
+    (Rsa.verify (Device.signing_cert dev).Cert.key ~msg:"one strong" ~signature:s);
+  Alcotest.(check int64) "one strong charge" per_sig (Device.busy_ns dev);
+  Alcotest.(check int) "one strong sign call" 1 (Device.stats dev).Device.sign_calls;
+  let d = Device.sign_deletion dev "one deletion" in
+  Alcotest.(check bool) "deletion verifies" true
+    (Rsa.verify (Device.deletion_cert dev).Cert.key ~msg:"one deletion" ~signature:d);
+  Alcotest.(check int64) "one deletion charge" (Int64.mul 2L per_sig) (Device.busy_ns dev);
+  Alcotest.(check int) "one deletion sign call" 2 (Device.stats dev).Device.sign_calls;
+  Device.tamper_respond dev;
+  let busy = Device.busy_ns dev and stats = Device.stats dev in
+  Alcotest.check_raises "strong after zeroize" Device.Tamper_detected (fun () ->
+      ignore (Device.sign_strong dev "refused"));
+  Alcotest.check_raises "deletion after zeroize" Device.Tamper_detected (fun () ->
+      ignore (Device.sign_deletion dev "refused"));
+  Alcotest.(check int64) "nothing charged" busy (Device.busy_ns dev);
+  Alcotest.(check bool) "nothing counted" true (stats = Device.stats dev)
+
 let test_of_measurements () =
   let p =
     Cost_model.of_measurements ~name:"local" ~rsa_sign_anchors:[ (512, 4000.); (1024, 900.) ]
@@ -269,6 +297,7 @@ let suite =
     ("batch signing", `Quick, test_batch_signing);
     ("pooled weak batch rotates once", `Quick, test_pooled_weak_batch_rotates_once);
     ("zeroized batch refused", `Quick, test_zeroized_batch_refused);
+    ("single sign splits, ledger unchanged", `Quick, test_single_sign_split);
     ("profile from measurements", `Quick, test_of_measurements);
     ("anchorless profile refused", `Quick, test_anchorless_profile);
     ("internal hmac", `Quick, test_hmac_internal);
