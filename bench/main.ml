@@ -36,6 +36,7 @@ open Toolkit
 module Sim = Worm_sim.Sim
 module Row = Worm_sim.Row
 module Cost_model = Worm_scpu.Cost_model
+module Pool = Worm_util.Pool
 open Worm_crypto
 
 (* Every section returns one row whose fields become entries of the
@@ -129,7 +130,7 @@ let tests =
     Test.make ~name:"rsa-512-sign" (Staged.stage (fun () -> Rsa.sign (Lazy.force key512) "msg"));
     Test.make ~name:"rsa-1024-sign" (Staged.stage (fun () -> Rsa.sign (Lazy.force key1024) "msg"));
     Test.make ~name:"rsa-1024-sign-batch8"
-      (Staged.stage (fun () -> Rsa.sign_batch (Lazy.force key1024) [ "m1"; "m2"; "m3"; "m4"; "m5"; "m6"; "m7"; "m8" ]));
+      (Staged.stage (fun () -> Pool.map (Rsa.sign (Lazy.force key1024)) [ "m1"; "m2"; "m3"; "m4"; "m5"; "m6"; "m7"; "m8" ]));
     Test.make ~name:"rsa-1024-verify"
       (Staged.stage (fun () ->
            Rsa.verify (Rsa.public_of (Lazy.force key1024)) ~msg:"msg" ~signature:(Lazy.force sig1024)));
@@ -222,7 +223,7 @@ let best_of ~trials rate =
 (* Domain counts for a parallel curve: 1, 2 and 4, plus this host's
    recommended count when it is none of those. *)
 let curve_domains () =
-  let n = Worm_util.Pool.recommended_domains () in
+  let n = Pool.recommended_domains () in
   let base = [ 1; 2; 4 ] in
   if List.mem n base then base else base @ [ n ]
 
@@ -274,29 +275,28 @@ let hash ~quick ~env:_ =
     blocks;
   (* Multi-buffer hashing over the shared pool: 16 independent blocks
      per call, sequential vs. pooled. *)
-  let pool = Worm_util.Pool.shared () in
-  let domains = Worm_util.Pool.size pool in
   List.iter
     (fun size ->
       let block = List.assoc size blocks in
-      let inputs = Array.make 16 block in
+      let inputs = List.init 16 (fun _ -> block) in
       let total = 16 * size in
       row ~algo:"sha256" ~mode:"multibuf-seq" ~bytes:size
-        (mb_per_sec total (fun () -> Sha256.digest_many inputs));
+        (mb_per_sec total (fun () -> List.map Sha256.digest inputs));
       row ~algo:"sha256"
-        ~mode:(Printf.sprintf "multibuf-pool%d" domains)
+        ~mode:(Printf.sprintf "multibuf-pool%d" (Pool.width ()))
         ~bytes:size
-        (mb_per_sec total (fun () -> Sha256.digest_many ~pool inputs)))
+        (mb_per_sec total (fun () -> Pool.map Sha256.digest inputs)))
     [ 16384; 65536 ];
   [ ("hash", table (List.rev !rows)) ]
 
 let local ~quick ~env:_ =
   let budget = if quick then 0.05 else 0.25 in
-  (* The anchors are one SCPU engine's rate: sign_batch without a pool
-     signs in the caller, where Rsa.sign would split a 1024-bit
-     signature over two domains. *)
+  (* The anchors are one SCPU engine's rate: on a 1-domain pool Rsa.sign
+     signs in the caller, where it would split a 1024-bit signature over
+     two domains. *)
   let sign_rate key =
-    1. /. time_per_op ~min_time_s:budget ~min_iters:4 (fun () -> Rsa.sign_batch (Lazy.force key) [ "msg" ])
+    Pool.with_width 1 (fun () ->
+        1. /. time_per_op ~min_time_s:budget ~min_iters:4 (fun () -> Rsa.sign (Lazy.force key) "msg"))
   in
   let hash_rate block bytes =
     float_of_int bytes /. time_per_op ~min_time_s:budget ~min_iters:16 (fun () -> Sha256.digest (Lazy.force block))
@@ -313,22 +313,22 @@ let local ~quick ~env:_ =
   let records = if quick then 6 else 16 in
   let sizes = [ 1024; 4096; 16384; 65536 ] in
   let projected = Sim.local_figure1 ~profile ~records ~sizes ~seed:"bench-local" () in
-  (* The SCPU crypto engine's domain curves: [msgs] through
-     Rsa.sign_batch on a pool of each size, timed by [measure]. A pool
-     of one domain signs sequentially in the caller, so that row is the
-     baseline. Identity-gated like readthroughput: every pooled run must
-     be byte-identical to the pool-less, sequential one. *)
+  (* The SCPU crypto engine's domain curves: [msgs] signed as Device
+     signs a batch, through Pool.map, at each pool width, timed by
+     [measure]. A pool of one domain signs sequentially in the caller,
+     so that row is the baseline. Identity-gated like readthroughput:
+     every pooled run must be byte-identical to the sequential one. *)
   let curve msgs ~column ~measure ~speedup =
     List.concat_map
       (fun (bits, key) ->
-        let key = Lazy.force key in
-        let sequential = Rsa.sign_batch key msgs in
+        let sign () = Pool.map (Rsa.sign (Lazy.force key)) msgs in
+        let sequential = Pool.with_width 1 sign in
         let rows =
           List.map
             (fun domains ->
-              Worm_util.Pool.with_pool ~domains (fun pool ->
-                  let identical = Rsa.sign_batch ~pool key msgs = sequential in
-                  (domains, measure (fun () -> Rsa.sign_batch ~pool key msgs), identical)))
+              Pool.with_width domains (fun () ->
+                  let identical = sign () = sequential in
+                  (domains, measure sign, identical)))
             (curve_domains ())
         in
         let base = match rows with (_, v, _) :: _ -> v | [] -> nan in
@@ -391,7 +391,6 @@ let local ~quick ~env:_ =
 module Core = Worm_core
 module SimClock = Worm_simclock.Clock
 module Device = Worm_scpu.Device
-module Pool = Worm_util.Pool
 
 let read_workload ~quick () =
   let rng = Drbg.create ~seed:"bench-read" in
@@ -430,53 +429,45 @@ let read_workload ~quick () =
   let items = List.map (fun sn -> (sn, Core.Worm.read store sn)) (found @ absences) in
   (clock, Rsa.public_of ca, store, items, List.length found, List.length absences)
 
-let measure_read_rps ~budget ~client ~pool items =
-  let t =
-    time_per_op ~min_time_s:budget ~min_iters:2 (fun () -> Core.Client.verify_read_many ~pool client items)
-  in
+let measure_read_rps ~budget ~client items =
+  let t = time_per_op ~min_time_s:budget ~min_iters:2 (fun () -> Core.Client.verify_read_many client items) in
   float_of_int (List.length items) /. t
 
 let readthroughput ~quick ~env:_ =
   let budget = if quick then 0.05 else 0.3 in
   let clock, ca, store, items, n_found, n_absence = read_workload ~quick () in
   let baseline_client = Core.Client.for_store ~ca ~clock ~verify_cache:0 store in
-  (* An explicit 1-domain pool: without one, verify_read_many runs on
-     the shared pool. *)
-  let sequential = Pool.create ~domains:1 () in
-  let baseline_verdicts = Core.Client.verify_read_many ~pool:sequential baseline_client items in
+  let baseline_verdicts, baseline_rps =
+    Pool.with_width 1 (fun () ->
+        let verdicts = Core.Client.verify_read_many baseline_client items in
+        (verdicts, measure_read_rps ~budget ~client:baseline_client items))
+  in
   let violations =
     List.length (List.filter (fun (_, v) -> match v with Core.Client.Violation _ -> true | _ -> false) baseline_verdicts)
   in
-  let baseline_rps = measure_read_rps ~budget ~client:baseline_client ~pool:sequential items in
   let curve =
     List.map
       (fun domains ->
         let client = Core.Client.for_store ~ca ~clock store in
-        let pool = Pool.create ~domains () in
-        let verdicts = Core.Client.verify_read_many ~pool client items in
-        let identical = verdicts = baseline_verdicts in
-        let rps = measure_read_rps ~budget ~client ~pool items in
-        let stats = Core.Client.verify_cache_stats client in
-        Pool.shutdown pool;
-        (domains, rps, identical, stats))
+        Pool.with_width domains (fun () ->
+            let identical = Core.Client.verify_read_many client items = baseline_verdicts in
+            let rps = measure_read_rps ~budget ~client items in
+            (domains, rps, identical, Core.Client.verify_cache_stats client)))
       (curve_domains ())
   in
   (* One strong Found read (the first 1 KiB keeper) as a one-item
      batch: above one domain it splits into the metasig check beside the
      datasig check plus the chained hash. *)
   let single = [ List.nth items 1 ] in
-  let single_reference = Core.Client.verify_read_many ~pool:sequential baseline_client single in
+  let single_reference = Pool.with_width 1 (fun () -> Core.Client.verify_read_many baseline_client single) in
   let single_curve =
     List.map
       (fun domains ->
         let client = Core.Client.for_store ~ca ~clock store in
-        let pool = Pool.create ~domains () in
-        let identical = Core.Client.verify_read_many ~pool client single = single_reference in
-        let t =
-          median_per_call ~min_time_s:budget ~min_iters:8 (fun () -> Core.Client.verify_read_many ~pool client single)
-        in
-        Pool.shutdown pool;
-        (domains, t, identical))
+        let read () = Core.Client.verify_read_many client single in
+        Pool.with_width domains (fun () ->
+            let identical = read () = single_reference in
+            (domains, median_per_call ~min_time_s:budget ~min_iters:8 read, identical)))
       (curve_domains ())
   in
   let single_row (domains, t, identical) =

@@ -44,7 +44,7 @@ val create : ?config:config -> store:Worm.t -> client:Client.t -> unit -> t
     Each slice reads responses on the calling domain (the store's
     tables are single-writer), exactly as many as its budget affords —
     a record's cost depends on its response, not its verdict — and
-    verifies them as one batch on {!Worm_util.Pool.shared}
+    verifies them as one batch on the domain pool
     ({!Client.verify_read_many}). Findings (classified in SN order),
     cursor movement, reads and budget accounting are those of a walk
     that reads and verifies one serial at a time. *)

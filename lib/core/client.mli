@@ -103,28 +103,20 @@ val verify_read : t -> sn:Serial.t -> Proof.read_response -> verdict
 (** Full verification of a read response for serial number [sn].
 
     A [Found] record whose metasig or datasig is [Witness.Strong]
-    verifies as one 2-task batch on {!Worm_util.Pool.shared}: the
-    metasig check beside the datasig check plus the chained hash of the
-    blocks. On a shared 2-core host a 2-task batch of 40 µs tasks took
-    57–61 µs pooled against 76–80 µs inline, and the [audit] benchmark's
-    point-read p50 fell from 84 to 56 µs. Violations are collected once
-    both finish, in the inline order, so the verdict is the same. Weak-
-    and MAC-only records and every other response verify on the calling
-    domain: a short-term key's verify is too short to repay the hand-off
-    (in a prototype that fanned those out too, the weak-heavy [mixed]
-    benchmark's read p50 rose 25 %). *)
+    checks its metasig beside its datasig plus the chained hash of the
+    blocks, through {!Worm_util.Pool.both}. On a shared 2-core host a
+    pair of 40 µs checks took 57–61 µs split against 76–80 µs inline,
+    and the [audit] benchmark's point-read p50 fell from 84 to 56 µs.
+    Violations are collected once both finish, in the inline order, so
+    the verdict is the same. Weak- and MAC-only records and every other
+    response verify inline: a short-term key's verify is too short to
+    repay the hand-off (in a prototype that split those too, the
+    weak-heavy [mixed] benchmark's read p50 rose 25 %). *)
 
-val verify_read_many :
-  ?pool:Worm_util.Pool.t -> t -> (Serial.t * Proof.read_response) list -> (Serial.t * verdict) list
-(** Verify a batch of read responses, in order. The per-response
-    verifications fan out across [pool] (default
-    {!Worm_util.Pool.shared}: the host-side-only read path of §4.2.2
-    scaled over cores); the result is element-for-element identical to
-    the [List.map]-of-{!verify_read} a 1-domain pool runs. Inside a
-    batch's tasks each record verifies inline, so batches never nest a
-    fan-out; a one-item batch fans a strong record out on [pool] the
-    way {!verify_read} does on the shared pool, and a 1-domain [pool]
-    verifies everything inline — the sequential reference.
+val verify_read_many : t -> (Serial.t * Proof.read_response) list -> (Serial.t * verdict) list
+(** [List.map] of {!verify_read}, element for element, with the records
+    spread over the domain pool by {!Worm_util.Pool.map}: the
+    host-side-only read path of §4.2.2 scaled over cores.
     [Direct_scpu] absence checks call back into the firmware and
     therefore always run on the submitting domain. *)
 

@@ -31,40 +31,6 @@ let create ~capacity =
   (* Construction hashing is not charged to the update counter. *)
   t
 
-(* Bulk build: one [digest_parts_many] fan-out per tree level, so the
-   independent hashes of a level run across the shared pool. Like
-   [create], construction hashing is not charged to the counter. *)
-let of_leaves leaves =
-  let pool = Worm_util.Pool.shared () in
-  let n = Array.length leaves in
-  if n = 0 then invalid_arg "Merkle.of_leaves: no leaves";
-  let cap = pow2_at_least n 1 in
-  let nodes = Array.make (2 * cap) "" in
-  let hashed = Sha256.digest_parts_many ~pool (Array.map (fun d -> [ "\x00"; d ]) leaves) in
-  Array.blit hashed 0 nodes cap n;
-  for i = cap + n to (2 * cap) - 1 do
-    nodes.(i) <- empty_leaf_hash
-  done;
-  let width = ref (cap / 2) in
-  while !width >= 1 do
-    let w = !width in
-    let parts =
-      Array.init w (fun j ->
-          let i = w + j in
-          [ "\x01"; nodes.(2 * i); nodes.((2 * i) + 1) ])
-    in
-    let hashed = Sha256.digest_parts_many ~pool parts in
-    Array.blit hashed 0 nodes w w;
-    width := w / 2
-  done;
-  let present = Array.make cap false in
-  for i = 0 to n - 1 do
-    present.(i) <- true
-  done;
-  let stored = Array.make cap "" in
-  Array.blit leaves 0 stored 0 n;
-  { cap; nodes; present; leaves = stored; hashes = 0 }
-
 let capacity t = t.cap
 let root t = t.nodes.(1)
 

@@ -12,14 +12,6 @@ val create : capacity:int -> t
 (** Capacity is rounded up to a power of two; absent leaves hash as a
     fixed empty marker. @raise Invalid_argument if [capacity <= 0]. *)
 
-val of_leaves : string array -> t
-(** Bulk construction: installs leaf [i] = [leaves.(i)], hashing each
-    tree level across {!Worm_util.Pool.shared}
-    ({!Sha256.digest_parts_many}).
-    The root is identical to [create]-then-[set] for the same leaves.
-    Construction hashing is not charged to {!hash_count}.
-    @raise Invalid_argument on an empty array. *)
-
 val capacity : t -> int
 val root : t -> string
 val set : t -> int -> string -> unit

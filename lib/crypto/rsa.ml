@@ -60,24 +60,16 @@ let modulus_bytes pub = (Nat.bit_length pub.n + 7) / 8
    domains need to sign under one key at once. No clone is kept, so no
    copy of the key's contexts outlives the key.
 
-   With a [pool], the two CRT halves run as one 2-task batch: m^dp mod p
-   is task 0, which the calling domain runs itself (the queue is first
-   in, first out), and m^dq mod q goes to another domain. Each half
-   owns its clone, and the recombination runs in the caller once both
-   are done, so the result is the sequential one. *)
-let apply_secret ?pool sk m =
+   [split] runs the two CRT halves through [Pool.both]: m^dp mod p on
+   the calling domain beside m^dq mod q. Each half owns its clone, and
+   the recombination runs in the caller once both are done, so the
+   result is the sequential one. *)
+let apply_secret ~split sk m =
   let mont_p = Nat.mont_clone sk.mont_p and mont_q = Nat.mont_clone sk.mont_q in
   let m = Nat.modulo m sk.pub.n in
   let half_p () = Nat.mod_pow_ctx mont_p ~base:m ~exp:sk.dp
   and half_q () = Nat.mod_pow_ctx mont_q ~base:m ~exp:sk.dq in
-  let m1, m2 =
-    match pool with
-    | None -> (half_p (), half_q ())
-    | Some pool ->
-        let halves = [| Nat.zero; Nat.zero |] in
-        Worm_util.Pool.parallel_for pool ~n:2 (fun i -> halves.(i) <- (if i = 0 then half_p () else half_q ()));
-        (halves.(0), halves.(1))
-  in
+  let m1, m2 = if split then Worm_util.Pool.both half_p half_q else (half_p (), half_q ()) in
   (* h = qinv * (m1 - m2) mod p. m1, m2 < p (m2 < q < p), so the
      difference needs at most one lift by p; the product reduces through
      p's cached context instead of a long division. *)
@@ -85,7 +77,7 @@ let apply_secret ?pool sk m =
   let h = Nat.mod_mul mont_p sk.qinv diff in
   Nat.add m2 (Nat.mul h sk.q)
 
-let raw_apply_secret sk m = apply_secret sk m
+let raw_apply_secret sk m = apply_secret ~split:false sk m
 
 (* [public] is a transparent record, so verification contexts live in a
    module-level memo instead of the key itself. Two layers make the
@@ -173,34 +165,10 @@ let emsa_pkcs1_v15 ~k msg =
    bits on a split repays (p50 600-702 us against 824-1274 us). *)
 let split_min_bits = 1024
 
-(* The pool to split one signature over: [pool ()], if the key is wide
-   enough to repay a split and the pool has a second domain. [pool] is
-   forced only for a wide key, so signing under narrow keys alone never
-   builds the shared pool. *)
-let split_pool sk pool =
-  if Nat.bit_length sk.pub.n < split_min_bits then None
-  else
-    let pool = pool () in
-    if Worm_util.Pool.size pool > 1 then Some pool else None
-
-let sign_one ?pool sk ~k msg =
-  let em = emsa_pkcs1_v15 ~k msg in
-  let m = Nat.of_bytes_be em in
-  let s = apply_secret ?pool sk m in
-  Nat.to_bytes_be_padded ~len:k s
-
 let sign sk msg =
   let k = modulus_bytes sk.pub in
-  sign_one ?pool:(split_pool sk Worm_util.Pool.shared) sk ~k msg
-
-(* A batch of two or more fans out per message, each signed inline, so
-   a batch never nests a split; a one-message batch splits instead. *)
-let sign_batch ?pool sk msgs =
-  let k = modulus_bytes sk.pub in
-  match (pool, msgs) with
-  | Some p, [ msg ] -> [ sign_one ?pool:(split_pool sk (fun () -> p)) sk ~k msg ]
-  | Some p, _ when Worm_util.Pool.size p > 1 -> Worm_util.Pool.map_list p (sign_one sk ~k) msgs
-  | _ -> List.map (sign_one sk ~k) msgs
+  let m = Nat.of_bytes_be (emsa_pkcs1_v15 ~k msg) in
+  Nat.to_bytes_be_padded ~len:k (apply_secret ~split:(Nat.bit_length sk.pub.n >= split_min_bits) sk m)
 
 let verify pub ~msg ~signature =
   let k = modulus_bytes pub in

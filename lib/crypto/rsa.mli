@@ -22,26 +22,14 @@ val sign : secret -> string -> string
     call works on its own clone of the key's cached Montgomery contexts,
     so concurrent signs under one key never share scratch.
 
-    Under a key of at least 1024 bits, when {!Worm_util.Pool.shared}
-    has a second domain, one signature splits its two CRT
-    half-exponentiations over that pool: m{^dp} mod p on the calling
-    domain beside m{^dq} mod q on a worker, recombined in the caller.
+    Under a key of at least 1024 bits one signature splits its two CRT
+    half-exponentiations with {!Worm_util.Pool.both}: m{^dp} mod p on
+    the calling domain beside m{^dq} mod q, recombined in the caller.
     On a 2-core host a 1024-bit signature's p50 fell from 824-1274 us
     to 600-702 us. Narrower keys sign inline: at 512 bits a half is
-    shorter than an idle worker's wake-up (~60 us), and a split read
-    139-175 us against 116-154 us inline. Nested calls (from a task of
-    any pool) are safe. The bytes are those of the sequential path. *)
-
-val sign_batch : ?pool:Worm_util.Pool.t -> secret -> string list -> string list
-(** [sign_batch ?pool key msgs] signs each message, results in input
-    order, and equals [List.map (sign key) msgs] byte for byte. With a
-    [pool] of size > 1 and more than one message the signatures fan out
-    across its domains, each signed inline (a batch never nests a
-    split) — the SCPU's crypto engine signing a burst (§4.3) or a
-    deferred-strength repayment. A one-message batch on such a pool
-    splits its CRT halves over that pool, under the same 1024-bit rule
-    as {!sign}. Without a pool (or on a single-domain pool) every
-    signature runs sequentially in the caller, on one domain. *)
+    shorter than an idle worker's wake-up, and a split read 139-175 us
+    against 116-154 us inline. The bytes are those of the sequential
+    path. *)
 
 val verify : public -> msg:string -> signature:string -> bool
 (** Domain-safe: the per-key verification context cache keeps one

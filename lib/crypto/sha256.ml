@@ -415,17 +415,4 @@ let digest_parts parts =
   List.iter (fun s -> feed_sub ctx s ~pos:0 ~len:(String.length s)) parts;
   get ctx
 
-(* Multi-buffer hashing: independent digests fan out over the domain
-   pool; a 1-domain pool (or none) degrades to the sequential map. *)
-let digest_many ?pool inputs =
-  match pool with
-  | Some p when Worm_util.Pool.size p > 1 && Array.length inputs > 1 -> Worm_util.Pool.parallel_map p digest inputs
-  | _ -> Array.map digest inputs
-
-let digest_parts_many ?pool inputs =
-  match pool with
-  | Some p when Worm_util.Pool.size p > 1 && Array.length inputs > 1 ->
-      Worm_util.Pool.parallel_map p digest_parts inputs
-  | _ -> Array.map digest_parts inputs
-
 let hex_digest s = Worm_util.Hex.encode (digest s)

@@ -43,14 +43,4 @@ val digest_sub : string -> pos:int -> len:int -> string
 val digest_parts : string list -> string
 (** Digest the concatenation of the parts without concatenating them. *)
 
-val digest_many : ?pool:Worm_util.Pool.t -> string array -> string array
-(** Multi-buffer hashing: [digest_many ~pool inputs] is
-    [Array.map digest inputs] with the independent digests fanned out
-    across the domain pool. With no pool, a 1-domain pool, or fewer than
-    two inputs it runs sequentially — byte-identical results either
-    way. *)
-
-val digest_parts_many : ?pool:Worm_util.Pool.t -> string list array -> string array
-(** {!digest_parts} over each element, pooled like {!digest_many}. *)
-
 val hex_digest : string -> string

@@ -94,7 +94,7 @@ val erasure_cert : t -> string -> (Worm_core.Firmware.erasure_cert option, strin
 val audit_sweep : t -> lo:Serial.t -> hi:Serial.t -> (Serial.t * Worm_core.Client.verdict) list
 (** Batched verified reads over an inclusive serial range (the
     federal-investigator workload). Response verification fans out
-    across {!Worm_util.Pool.shared} ({!Worm_core.Client.verify_read_many});
+    across the domain pool ({!Worm_core.Client.verify_read_many});
     results are identical to the sequential sweep. Reassembly is by hashtable (one pass over the
     reply list); a malicious reply answering the same SN twice is
     flagged rather than first-match-trusted, and violating rows earn a
@@ -122,7 +122,7 @@ val run_remote_audit : ?batch:int -> ?cursor:Serial.t -> t -> remote_audit
 (** Full-store remote audit over {!Message.Audit_slice} batches
     ([batch] proofs per round trip, default 64): walk the SN space from
     [cursor] (default [Serial.first]), verify every served batch of
-    proofs across {!Worm_util.Pool.shared}, fast-forward across the
+    proofs across the domain pool, fast-forward across the
     below-base region under the base bound, and finish with one probe
     above the served current bound. A dishonest
     server — refusing proofs, serving forgeries, or stalling the

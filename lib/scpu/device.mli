@@ -73,10 +73,9 @@ val deletion_cert : t -> Worm_crypto.Cert.t
 val sign_strong : t -> string -> string
 (** Sign with s (metasig, datasig, window bounds). Charges and counts
     one strong signature. The key check, the charge and the count run
-    in the caller; then [Rsa.sign] splits the signature's two CRT
-    halves over {!Worm_util.Pool.shared} when the key has at least 1024
-    bits and the pool a second domain. The signature, the ledger and
-    the stats are those of the sequential path. *)
+    in the caller; then [Rsa.sign] may split the signature's two CRT
+    halves over the domain pool. The signature, the ledger and the
+    stats are those of the sequential path. *)
 
 val sign_deletion : t -> string -> string
 (** Sign with d (deletion proofs); split like {!sign_strong}. *)
@@ -89,14 +88,12 @@ val sign_strong_batch : t -> string list -> string list
     order. Charges and counts one strong signature per message; the batch
     form amortizes per-key setup across the burst (§4.3).
 
-    Every batch form fans its signatures out on {!Worm_util.Pool.shared},
-    the model of the SCPU's crypto engine signing beside the host; the
-    host's batched read verification shares the same pool. A batch of
-    two or more signs each message inline on one of the pool's domains;
-    a one-element batch splits its CRT halves like {!sign_strong}. The
-    signatures, the ledger and the stats are exactly those of the
-    sequential path: key checks, charging and counting run in the
-    caller before anything is handed to the pool. *)
+    Every batch form signs through {!Worm_util.Pool.map}, the model of
+    the SCPU's crypto engine signing beside the host; the host's batched
+    read verification shares the same pool. The signatures, the ledger
+    and the stats are exactly those of the sequential path: key checks,
+    charging and counting run in the caller before anything is handed
+    to the pool. *)
 
 val sign_deletion_batch : t -> string list -> string list
 (** Batch form of {!sign_deletion}; pooled like {!sign_strong_batch}. *)

@@ -1,71 +1,70 @@
-(** Fixed-size domain pools, over stdlib domains only.
+(** The process's domain pool, over stdlib domains only, and the one
+    rule for when work leaves the calling domain.
 
-    The process has one {!shared} pool, which nothing shuts down. The
-    SCPU device signs its batches on it (the paper's SCPU is a card of
-    its own, signing beside the host), and one signature under a key of
-    at least 1024 bits splits its two CRT half-exponentiations over it
-    (every [Rsa.sign]: refreshed bounds, heartbeats, deletion proofs,
-    window bounds, certificates). Host-side verification runs on it
-    too: the paper's read path is host-CPU-only (§4.2.2). A batch of
-    reads spreads its records over it, and a single read of a strongly
-    witnessed record splits its metasig and datasig checks over it.
-    Pools made with {!create} are only for a fixed size: a
-    1/2/4-domain curve, or a test comparing a pooled result with a
-    sequential one.
+    The SCPU device signs its batches on it (the paper's SCPU is a card
+    of its own, signing beside the host), and host-side verification
+    runs on it too: the paper's read path is host-CPU-only (§4.2.2).
+    The pool has {!width} domains: [width - 1] persistent workers plus
+    the calling domain. It is built by the first {!both} or {!map} that
+    could split, with {!recommended_domains} domains, and is never shut
+    down; under
+    [taskset -c 0] it has one domain and spawns none.
 
-    A pool of size [n] uses [n - 1] persistent worker domains plus the
-    submitting domain, which drains the same queue while it waits, so a
-    busy pool degrades toward inline execution and a task may submit a
-    batch to the pool it runs on. The queue is first in, first out, so
-    with no other batch queued the submitter runs its batch's first
-    chunk itself. A pool of size 1 spawns no domains and runs every
-    batch sequentially in the caller.
+    {b The rule.} Work runs inline, in the caller and in order, when the
+    width is 1 or the call comes from inside a pool task (a domain-local
+    flag), so tasks never wait on tasks and nothing nests. Otherwise
+    {!both} and a {!map} of two or more items hand work to the workers.
+    A caller runs every task of its own that no worker has started yet
+    itself, and waits only for tasks already running on another domain.
+    Whether a single operation is worth splitting at all is its call
+    site's decision: a 1024-bit [Rsa.sign], a strongly witnessed
+    [Client.verify_read]. On a 2-core host an idle worker's wake-up is
+    ~60 µs.
 
-    Batches are synchronous: [parallel_map]/[parallel_for] return only
-    after every element has been processed. If any element raises, the
-    first exception is re-raised on the submitting domain after the
-    whole batch has finished (no element is silently skipped).
-
-    The pool itself is domain-safe; the work functions must be too:
-    pure computation, {!Worm_crypto.Rsa} signing and verification (their
-    contexts are per call or per domain), and the mutex-guarded caches
-    in {!Worm_core.Client}. Do not touch a {!Worm_core.Worm.t} (host
-    Hashtbls are single-writer) from inside a pooled task. *)
-
-type t
+    Results, and which exception a call raises, do not depend on the
+    width; split, an exception is re-raised in the caller only after
+    every task of the call has finished (no task is left running). The work functions must be
+    domain-safe: pure computation, [Rsa] signing and verification
+    (their contexts are per call or per domain), and the mutex-guarded
+    caches of [Client]. Do not touch a [Worm.t] (host Hashtbls are
+    single-writer) from a task. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()], clamped to at least 1. *)
 
-val create : ?domains:int -> unit -> t
-(** Spawn a pool of [domains] total domains (default
-    {!recommended_domains}). [domains = 1] spawns nothing and makes
-    every batch sequential.
-    @raise Invalid_argument if [domains < 1]. *)
+val width : unit -> int
+(** The number of domains calls split over: the innermost {!with_width}
+    in scope, else {!recommended_domains}. *)
 
-val size : t -> int
-(** Total domains participating in a batch (workers + submitter). *)
+val with_width : int -> (unit -> 'a) -> 'a
+(** [with_width n f] runs [f] with the pool replaced by one of [n]
+    domains, then shuts that pool down and restores the previous one,
+    also when [f] raises. For a domain curve (the bench) or a pooled
+    result compared with a sequential one (the tests); at [n = 1]
+    everything in [f] runs inline.
+    @raise Invalid_argument if [n < 1] or when called from inside a
+    pool task. *)
 
-val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** [parallel_map t f arr] is [Array.map f arr] with elements processed
-    on the pool's domains in chunked ranges. Result order matches input
-    order. *)
+val both : (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
+(** [both f g] is [(f (), g ())]. [f] runs on the calling domain while
+    [g] is offered to an idle worker; the caller takes [g] back if no
+    worker has started it. Inline, [f] runs before [g]. If either side
+    raises, the exception is re-raised once both sides are done; [f]'s
+    wins. *)
 
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [parallel_map] over a list. *)
+val map : ('a -> 'b) -> 'a list -> 'b list
+(** [map f xs] is [List.map f xs], results in input order. Two or more
+    items are handed out in contiguous chunks, several per domain, and
+    any pool call made inside [f] runs inline. A single item runs in the
+    caller as a plain call, so a one-item batch can still split inside
+    [f]. If items raise, the exception of the first failing chunk is
+    re-raised once every chunk is done.
 
-val parallel_for : t -> n:int -> (int -> unit) -> unit
-(** [parallel_for t ~n f] runs [f i] for [0 <= i < n] across the pool.
-    Iterations must be independent. *)
-
-val shutdown : t -> unit
-(** Stop the workers (after the queue drains) and join them.
-    Idempotent; subsequent submissions raise [Invalid_argument]. *)
-
-val with_pool : ?domains:int -> (t -> 'a) -> 'a
-(** [create], run, [shutdown] (also on exception). *)
-
-val shared : unit -> t
-(** The process-wide pool, built by the first call from any domain with
-    {!recommended_domains} domains. The count follows the CPU affinity
-    mask: under [taskset -c 0] the pool has one domain and spawns none. *)
+    Short batches, measured as [Client.verify_read_many] at width 2
+    against width 1 on a shared 2-core host (12 alternating rounds,
+    per-call medians): 2, 4 and 13 strongly witnessed 4 KiB records
+    (~190 µs each) took 0.54–0.58× the inline time, faster in 10–11 of
+    12 rounds; 2, 4 and 13 memo-hit absence proofs (~0.5 µs each) took
+    2.7–4.3× (1.0 → 4.1 µs at 2 items), faster in none. The hand-off
+    costs a few µs, so a batch repays it unless all its items are that
+    short. *)

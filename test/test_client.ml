@@ -197,9 +197,9 @@ let test_fanned_read_memo_deterministic () =
   in
   let domains () = (Worm_util.Codec.pool_stats ()).Worm_util.Codec.pool_domains in
   let hits0, misses0 = stats () and domains0 = domains () in
-  Worm_util.Pool.with_pool ~domains:2 (fun pool ->
+  Worm_util.Pool.with_width 2 (fun () ->
       for _ = 1 to 10 do
-        match Client.verify_read_many ~pool env.client [ (sn, response) ] with
+        match Client.verify_read_many env.client [ (sn, response) ] with
         | [ (_, v) ] -> Alcotest.(check string) "fanned read verifies" "valid-data" (Client.verdict_name v)
         | _ -> Alcotest.fail "one verdict per item"
       done);

@@ -196,23 +196,20 @@ let test_reference_agreement () =
   Alcotest.(check string) "digest_parts = reference of the concatenation"
     (Ref256.digest (String.concat "" parts))
     (Sha256.digest_parts parts);
-  let inputs = Array.init 64 (fun i -> Drbg.generate rng (i * 37)) in
-  let expected = Array.map Ref256.digest inputs in
-  Alcotest.(check bool) "digest_many sequential" true (Sha256.digest_many inputs = expected);
-  Worm_util.Pool.with_pool ~domains:2 (fun pool ->
-      Alcotest.(check bool) "digest_many pooled" true (Sha256.digest_many ~pool inputs = expected))
-
-let prop_digest_many_is_map =
-  QCheck.Test.make ~name:"digest_many = map digest" ~count:50
-    QCheck.(small_list string)
-    (fun xs ->
-      let inputs = Array.of_list xs in
-      let expected = Array.map Sha256.digest inputs in
-      let pool = Worm_util.Pool.create ~domains:2 () in
-      let pooled = Sha256.digest_many ~pool inputs in
-      let parts_pooled = Sha256.digest_parts_many ~pool (Array.map (fun x -> [ x; "" ]) inputs) in
-      Worm_util.Pool.shutdown pool;
-      Sha256.digest_many inputs = expected && pooled = expected && parts_pooled = expected)
+  let inputs = List.init 64 (fun i -> Drbg.generate rng (i * 37)) in
+  let expected = List.map Ref256.digest inputs in
+  List.iter
+    (fun domains ->
+      Worm_util.Pool.with_width domains (fun () ->
+          Alcotest.(check bool)
+            (Printf.sprintf "multi-buffer at %d domains" domains)
+            true
+            (Worm_util.Pool.map Sha256.digest inputs = expected);
+          Alcotest.(check bool)
+            (Printf.sprintf "multi-buffer parts at %d domains" domains)
+            true
+            (Worm_util.Pool.map (fun x -> Sha256.digest_parts [ x; "" ]) inputs = expected)))
+    [ 1; 2 ]
 
 (* ---------- HMAC (RFC 4231 / RFC 2202) ---------- *)
 
@@ -355,7 +352,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_sha256_incremental;
     QCheck_alcotest.to_alcotest prop_sha1_incremental;
     QCheck_alcotest.to_alcotest prop_matches_reference;
-    QCheck_alcotest.to_alcotest prop_digest_many_is_map;
     QCheck_alcotest.to_alcotest prop_chained_injective_on_order;
     QCheck_alcotest.to_alcotest prop_drbg_int_below_in_range;
     QCheck_alcotest.to_alcotest prop_drbg_nat_below_in_range;

@@ -95,27 +95,9 @@ let prop_random_fill_all_verify =
       done;
       !ok)
 
-let test_of_leaves_agrees_with_set () =
-  (* Bulk construction, hashed on the shared pool, must land on the
-     same root and leaves as the incremental path, and bulk
-     construction (like create) is not charged to the update counter. *)
-  let leaves = Array.init 11 (fun i -> Printf.sprintf "leaf-%d" (i * i)) in
-  let incremental = Merkle.create ~capacity:(Array.length leaves) in
-  Array.iteri (fun i leaf -> Merkle.set incremental i leaf) leaves;
-  let bulk = Merkle.of_leaves leaves in
-  Alcotest.(check int) "capacity matches" (Merkle.capacity incremental) (Merkle.capacity bulk);
-  Alcotest.(check string) "root matches incremental" (Merkle.root incremental) (Merkle.root bulk);
-  Alcotest.(check int) "construction not charged" 0 (Merkle.hash_count bulk);
-  Alcotest.(check (option string)) "leaf readable" (Some "leaf-100") (Merkle.get bulk 10);
-  Alcotest.(check (option string)) "padding absent" None (Merkle.get bulk 15);
-  Alcotest.(check bool) "proof from bulk tree verifies" true
-    (Merkle.verify ~root:(Merkle.root bulk) ~capacity:(Merkle.capacity bulk) ~index:3
-       ~leaf_data:leaves.(3) ~proof:(Merkle.proof bulk 3))
-
 let suite =
   [
     ("create shape", `Quick, test_create_shape);
-    ("of_leaves = incremental set", `Quick, test_of_leaves_agrees_with_set);
     ("root moves on set", `Quick, test_empty_roots_differ_from_filled);
     ("get/set", `Quick, test_get_set);
     ("proofs verify", `Quick, test_proof_verifies);

@@ -23,49 +23,185 @@ module Finding = Worm_audit.Finding
 (* Pool *)
 
 let test_pool_map_matches_sequential () =
-  let input = Array.init 257 (fun i -> i) in
+  let input = List.init 257 Fun.id in
   let f x = (x * x) + 1 in
-  let expected = Array.map f input in
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "order and values preserved at %d domains" domains)
-            expected (Pool.parallel_map pool f input)))
+      Pool.with_width domains (fun () ->
+          let label what = Printf.sprintf "%s at %d domains" what domains in
+          Alcotest.(check (list int)) (label "order and values preserved") (List.map f input) (Pool.map f input);
+          Alcotest.(check (list int)) (label "empty") [] (Pool.map succ []);
+          Alcotest.(check (list int)) (label "singleton") [ 42 ] (Pool.map succ [ 41 ]);
+          let visits = Array.make 200 0 in
+          ignore (Pool.map (fun i -> visits.(i) <- visits.(i) + 1) (List.init 200 Fun.id));
+          Alcotest.(check (array int)) (label "every item visited once") (Array.make 200 1) visits))
     [ 1; 2; 3; 4 ]
 
-let test_pool_map_list () =
-  Pool.with_pool ~domains:3 (fun pool ->
-      Alcotest.(check (list int)) "empty" [] (Pool.map_list pool succ []);
-      Alcotest.(check (list int)) "singleton" [ 42 ] (Pool.map_list pool succ [ 41 ]);
-      let xs = List.init 100 (fun i -> i) in
-      Alcotest.(check (list int)) "list order preserved" (List.map succ xs) (Pool.map_list pool succ xs))
-
-let test_pool_for () =
-  Pool.with_pool ~domains:4 (fun pool ->
-      let out = Array.make 200 (-1) in
-      Pool.parallel_for pool ~n:200 (fun i -> out.(i) <- 2 * i);
-      Alcotest.(check (array int)) "every index visited once" (Array.init 200 (fun i -> 2 * i)) out;
-      Pool.parallel_for pool ~n:0 (fun _ -> assert false))
-
 let test_pool_exception_propagates () =
-  Pool.with_pool ~domains:3 (fun pool ->
+  Pool.with_width 3 (fun () ->
       Alcotest.check_raises "worker exception re-raised" (Failure "boom") (fun () ->
-          ignore (Pool.parallel_map pool (fun x -> if x = 150 then failwith "boom" else x) (Array.init 300 Fun.id)));
-      (* the pool survives a failed batch *)
-      Alcotest.(check (array int)) "pool usable after failure" [| 1; 2; 3 |]
-        (Pool.parallel_map pool succ [| 0; 1; 2 |]))
+          ignore (Pool.map (fun x -> if x = 150 then failwith "boom" else x) (List.init 300 Fun.id)));
+      (* the pool survives a failed call *)
+      Alcotest.(check (list int)) "pool usable after failure" [ 1; 2; 3 ] (Pool.map succ [ 0; 1; 2 ]))
 
 let test_pool_recommended () =
   Alcotest.(check bool) "recommended_domains >= 1" true (Pool.recommended_domains () >= 1)
 
+let domain_id () = (Domain.self () :> int)
+
+(* Spin until [flag] is set, giving up after a million polls (tens of
+   milliseconds): long enough for an idle worker to take a task. *)
+let spin_until flag =
+  let polls = ref 0 in
+  while (not (Atomic.get flag)) && !polls < 1_000_000 do
+    Domain.cpu_relax ();
+    incr polls
+  done
+
+(* The domain that runs [g] of a [both] whose [f] leaves it time to be
+   taken: a worker's, when the pool splits. *)
+let g_domain () =
+  let started = Atomic.make false in
+  snd
+    (Pool.both
+       (fun () -> spin_until started)
+       (fun () ->
+         Atomic.set started true;
+         domain_id ()))
+
 let test_pool_shared_once () =
-  (* Three domains race to build the process-wide pool; all get it. *)
-  let racers = List.init 2 (fun _ -> Domain.spawn Pool.shared) in
-  let mine = Pool.shared () in
-  List.iter (fun d -> Alcotest.(check bool) "physically equal" true (Domain.join d == mine)) racers;
-  Alcotest.(check bool) "stable across calls" true (Pool.shared () == mine);
-  Alcotest.(check int) "recommended size" (Pool.recommended_domains ()) (Pool.size mine)
+  (* Three domains race to split on the process-wide pool: every task
+     runs on a caller or on that one pool's workers. *)
+  let run () = (domain_id (), Pool.map (fun _ -> domain_id ()) (List.init 64 Fun.id) @ [ g_domain () ]) in
+  let racers = List.init 2 (fun _ -> Domain.spawn run) in
+  let mine = run () in
+  let runs = mine :: List.map Domain.join racers in
+  let callers = List.map fst runs in
+  let workers = List.sort_uniq compare (List.filter (fun d -> not (List.mem d callers)) (List.concat_map snd runs)) in
+  Alcotest.(check bool) "one pool's workers" true (List.length workers <= Pool.width () - 1);
+  Alcotest.(check int) "recommended width" (Pool.recommended_domains ()) (Pool.width ())
+
+let test_both_runs_f_on_caller () =
+  Pool.with_width 2 (fun () ->
+      for _ = 1 to 20 do
+        (* [g] waits for [f]: were [f] handed out and [g] kept, a worker
+           would run [f]. *)
+        let f_done = Atomic.make false in
+        let f_domain, () =
+          Pool.both
+            (fun () ->
+              Atomic.set f_done true;
+              domain_id ())
+            (fun () -> spin_until f_done)
+        in
+        Alcotest.(check int) "f on the calling domain" (domain_id ()) f_domain
+      done);
+  let order = ref [] in
+  Pool.with_width 1 (fun () ->
+      ignore (Pool.both (fun () -> order := "f" :: !order) (fun () -> order := "g" :: !order)));
+  Alcotest.(check (list string)) "inline: f, then g" [ "g"; "f" ] !order
+
+let test_nested_calls_run_inline () =
+  (* Four domains, two outer items: a worker is always idle, so a nested
+     call that split would hand its second half to it. *)
+  Pool.with_width 4 (fun () ->
+      let nested _ =
+        let task = domain_id () in
+        let both_started = Atomic.make false and map_started = Atomic.make false in
+        let f_dom, g_dom =
+          Pool.both
+            (fun () ->
+              spin_until both_started;
+              domain_id ())
+            (fun () ->
+              Atomic.set both_started true;
+              domain_id ())
+        in
+        let mapped =
+          Pool.map
+            (fun i ->
+              if i = 0 then spin_until map_started else Atomic.set map_started true;
+              domain_id ())
+            [ 0; 1 ]
+        in
+        List.for_all (( = ) task) (f_dom :: g_dom :: mapped)
+      in
+      Alcotest.(check (list bool)) "nested both and map on the task's domain" [ true; true ]
+        (Pool.map nested [ 0; 1 ]))
+
+let test_exceptions_wait_for_both_sides () =
+  Pool.with_width 2 (fun () ->
+      let g_done = Atomic.make false in
+      Alcotest.check_raises "f's exception" (Failure "f") (fun () ->
+          ignore
+            (Pool.both
+               (fun () -> failwith "f")
+               (fun () ->
+                 spin_until (Atomic.make false);
+                 Atomic.set g_done true)));
+      Alcotest.(check bool) "g finished before f's exception" true (Atomic.get g_done);
+      let f_done = Atomic.make false in
+      Alcotest.check_raises "g's exception" (Failure "g") (fun () ->
+          ignore
+            (Pool.both
+               (fun () ->
+                 spin_until (Atomic.make false);
+                 Atomic.set f_done true)
+               (fun () -> failwith "g")));
+      Alcotest.(check bool) "f finished before g's exception" true (Atomic.get f_done);
+      Alcotest.check_raises "f's exception wins" (Failure "f") (fun () ->
+          ignore (Pool.both (fun () -> failwith "f") (fun () -> failwith "g")));
+      (* item 0 fails once item 1 is running elsewhere *)
+      let started = Atomic.make false and item_done = Atomic.make false in
+      Alcotest.check_raises "map item's exception" (Failure "item 0") (fun () ->
+          ignore
+            (Pool.map
+               (fun i ->
+                 if i = 0 then begin
+                   spin_until started;
+                   failwith "item 0"
+                 end
+                 else begin
+                   Atomic.set started true;
+                   spin_until (Atomic.make false);
+                   Atomic.set item_done true
+                 end)
+               [ 0; 1 ]));
+      Alcotest.(check bool) "item 1 finished before item 0's exception" true (Atomic.get item_done))
+
+(* Domain ids count spawns: the id a new domain gets tells how many
+   domains were spawned since the last probe. *)
+let next_domain_id () = Domain.join (Domain.spawn domain_id)
+
+let test_with_width_restores () =
+  let width = Pool.width () in
+  ignore (g_domain ());
+  let before = next_domain_id () in
+  Alcotest.check_raises "f's exception" (Failure "inside") (fun () ->
+      Pool.with_width (width + 1) (fun () ->
+          Alcotest.(check int) "scoped width" (width + 1) (Pool.width ());
+          failwith "inside"));
+  Alcotest.(check int) "width restored" width (Pool.width ());
+  ignore (g_domain ());
+  (* the scoped pool's [width] workers and this probe, no new pool *)
+  Alcotest.(check int) "shared pool kept" (before + width + 1) (next_domain_id ())
+
+let test_with_width_rejects () =
+  Alcotest.check_raises "zero domains" (Invalid_argument "Pool.with_width: need at least one domain") (fun () ->
+      Pool.with_width 0 ignore);
+  let refused () =
+    match Pool.with_width 1 ignore with () -> false | exception Invalid_argument _ -> true
+  in
+  Pool.with_width 2 (fun () ->
+      Alcotest.(check (list bool)) "inside map tasks" [ true; true ] (Pool.map (fun _ -> refused ()) [ 0; 1 ]);
+      let started = Atomic.make false in
+      Alcotest.(check bool) "inside both's g" true
+        (snd
+           (Pool.both
+              (fun () -> spin_until started)
+              (fun () ->
+                Atomic.set started true;
+                refused ()))))
 
 (* ---------------------------------------------------------------- *)
 (* Lru *)
@@ -182,30 +318,30 @@ let test_parallel_verify_identical () =
   Alcotest.(check int) "violations exactly at the tampered records" 2
     (List.length (List.filter (fun (_, v) -> match v with Client.Violation _ -> true | _ -> false) reference));
   let check name verdicts = Alcotest.(check bool) name true (verdicts = reference) in
-  Pool.with_pool ~domains:1 (fun pool ->
-      check "verify_read_many on one domain" (Client.verify_read_many ~pool sequential_client items));
+  Pool.with_width 1 (fun () ->
+      check "verify_read_many on one domain" (Client.verify_read_many sequential_client items));
   check "cached client, shared pool" (Client.verify_read_many env.client items);
-  (* Tasks on the shared pool each submit a batch to that same pool: no
-     deadlock, sequential verdicts. *)
-  Array.iter (check "nested batch on the shared pool")
-    (Pool.parallel_map (Pool.shared ()) (fun _ -> Client.verify_read_many env.client items) (Array.make 4 ()));
+  (* Tasks on the shared pool each verify a batch: inline, sequential
+     verdicts. *)
+  List.iter (check "nested batch on the shared pool")
+    (Pool.map (fun _ -> Client.verify_read_many env.client items) [ (); (); (); () ]);
   List.iter
     (fun domains ->
-      Pool.with_pool ~domains (fun pool ->
+      Pool.with_width domains (fun () ->
           let cached = Client.for_store ~ca:(ca_pub ()) ~clock:env.clock env.store in
           check
             (Printf.sprintf "pooled x%d, cache cold" domains)
-            (Client.verify_read_many ~pool cached items);
+            (Client.verify_read_many cached items);
           check
             (Printf.sprintf "pooled x%d, cache warm" domains)
-            (Client.verify_read_many ~pool cached items);
+            (Client.verify_read_many cached items);
           Alcotest.(check bool)
             (Printf.sprintf "pooled x%d, absence proofs hit the cache" domains)
             true
             (match Client.verify_cache_stats cached with Some st -> st.Client.cache_hits > 0 | None -> false);
           check
             (Printf.sprintf "pooled x%d, cache disabled" domains)
-            (Client.verify_read_many ~pool sequential_client items)))
+            (Client.verify_read_many sequential_client items)))
     [ 2; 4 ]
 
 let test_parallel_scrub_identical () =
@@ -279,26 +415,23 @@ let test_single_read_fan_out_identical () =
     ]
   in
   let uncached = Client.for_store ~ca:(ca_pub ()) ~clock:env.clock ~verify_cache:0 env.store in
-  Pool.with_pool ~domains:1 (fun one ->
-      Pool.with_pool ~domains:2 (fun two ->
-          List.iter
-            (fun (name, sn, response, expected) ->
-              let item = [ (sn, response) ] in
-              let reference = Client.verify_read_many ~pool:one uncached item in
-              let check what got = Alcotest.(check bool) (name ^ ": " ^ what) true (got = reference) in
-              Alcotest.(check (list string)) (name ^ ": sequential verdict") [ expected ]
-                (List.map (fun (_, v) -> Client.verdict_name v) reference);
-              check "2-domain pool, uncached" (Client.verify_read_many ~pool:two uncached item);
-              check "2-domain pool, cached" (Client.verify_read_many ~pool:two env.client item);
-              check "verify_read" [ (sn, Client.verify_read env.client ~sn response) ];
-              (* a read inside a task of the pool it fans out on *)
-              Array.iter (check "nested on the 2-domain pool")
-                (Pool.parallel_map two (fun () -> Client.verify_read_many ~pool:two env.client item) [| (); () |]);
-              Array.iter (check "verify_read nested on the shared pool")
-                (Pool.parallel_map (Pool.shared ())
-                   (fun () -> [ (sn, Client.verify_read env.client ~sn response) ])
-                   [| (); () |]))
-            cases))
+  List.iter
+    (fun (name, sn, response, expected) ->
+      let item = [ (sn, response) ] in
+      let reference = Pool.with_width 1 (fun () -> Client.verify_read_many uncached item) in
+      let check what got = Alcotest.(check bool) (name ^ ": " ^ what) true (got = reference) in
+      Alcotest.(check (list string)) (name ^ ": sequential verdict") [ expected ]
+        (List.map (fun (_, v) -> Client.verdict_name v) reference);
+      Pool.with_width 2 (fun () ->
+          check "2-domain pool, uncached" (Client.verify_read_many uncached item);
+          check "2-domain pool, cached" (Client.verify_read_many env.client item);
+          (* a read inside a task of the pool it would split on *)
+          List.iter (check "nested on the 2-domain pool")
+            (Pool.map (fun () -> Client.verify_read_many env.client item) [ (); () ]));
+      check "verify_read" [ (sn, Client.verify_read env.client ~sn response) ];
+      List.iter (check "verify_read nested on the shared pool")
+        (Pool.map (fun () -> [ (sn, Client.verify_read env.client ~sn response) ]) [ (); () ]))
+    cases
 
 (* ---------------------------------------------------------------- *)
 (* Verify-cache attack surface *)
@@ -387,11 +520,14 @@ let test_cache_disabled_and_bad_capacity () =
 let suite =
   [
     ("pool map matches sequential at 1-4 domains", `Quick, test_pool_map_matches_sequential);
-    ("pool map_list preserves order", `Quick, test_pool_map_list);
-    ("pool parallel_for covers every index", `Quick, test_pool_for);
     ("pool re-raises worker exceptions", `Quick, test_pool_exception_propagates);
     ("pool recommends at least one domain", `Quick, test_pool_recommended);
     ("shared pool is built once across domains", `Quick, test_pool_shared_once);
+    ("pool both runs f on the caller", `Quick, test_both_runs_f_on_caller);
+    ("pool calls inside a task run inline", `Quick, test_nested_calls_run_inline);
+    ("pool exceptions wait for every task", `Quick, test_exceptions_wait_for_both_sides);
+    ("pool with_width restores on exception", `Quick, test_with_width_restores);
+    ("pool with_width rejects 0 and tasks", `Quick, test_with_width_rejects);
     ("lru eviction order", `Quick, test_lru_basic);
     ("lru zero capacity", `Quick, test_lru_zero_capacity);
     ("encoded_size mirrors every encoder", `Quick, test_encoded_sizes_match_encoders);

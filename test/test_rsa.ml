@@ -73,13 +73,13 @@ let test_sign_batch () =
   let key = Lazy.force key512 in
   let pub = Rsa.public_of key in
   let msgs = [ ""; "a"; "batch message"; String.make 300 'x' ] in
-  let sigs = Rsa.sign_batch key msgs in
+  let sigs = Worm_util.Pool.with_width 2 (fun () -> Worm_util.Pool.map (Rsa.sign key) msgs) in
   Alcotest.(check int) "one signature per message" (List.length msgs) (List.length sigs);
   Alcotest.(check (list string)) "batch equals sequential" (List.map (Rsa.sign key) msgs) sigs;
   List.iter2
     (fun msg signature -> Alcotest.(check bool) "batch signature verifies" true (Rsa.verify pub ~msg ~signature))
     msgs sigs;
-  Alcotest.(check (list string)) "empty batch" [] (Rsa.sign_batch key [])
+  Alcotest.(check (list string)) "empty batch" [] (Worm_util.Pool.map (Rsa.sign key) [])
 
 let prop_sign_verify =
   QCheck.Test.make ~name:"sign/verify on random messages" ~count:30 QCheck.string (fun msg ->
@@ -195,28 +195,25 @@ let test_known_answers () =
 let test_concurrent_signing () =
   let msgs = kat_msgs @ List.init 45 (Printf.sprintf "concurrent message %d") in
   let first_three = function a :: b :: c :: _ -> [ a; b; c ] | _ -> Alcotest.fail "short batch" in
-  Worm_util.Pool.with_pool ~domains:2 (fun pool ->
+  Worm_util.Pool.with_width 2 (fun () ->
       List.iter
         (fun (key, bits, fingerprint, digest) ->
           let label = Printf.sprintf "rsa-%d %s" bits fingerprint in
           let sequential = List.map (Rsa.sign key) msgs in
-          let mapped = Worm_util.Pool.map_list pool (Rsa.sign key) msgs in
-          let batched = Rsa.sign_batch ~pool key msgs in
-          Alcotest.(check (list string)) (label ^ " Pool.map_list = sequential") sequential mapped;
-          Alcotest.(check (list string)) (label ^ " sign_batch ~pool = sequential") sequential batched;
-          Alcotest.(check string) (label ^ " pooled known answers") digest (kat_digest (first_three batched));
-          Alcotest.(check (list string)) (label ^ " empty batch") [] (Rsa.sign_batch ~pool key []);
+          let mapped = Worm_util.Pool.map (Rsa.sign key) msgs in
+          Alcotest.(check (list string)) (label ^ " Pool.map = sequential") sequential mapped;
+          Alcotest.(check string) (label ^ " pooled known answers") digest (kat_digest (first_three mapped));
           Alcotest.(check (list string)) (label ^ " one-element batch") [ Rsa.sign key "one" ]
-            (Rsa.sign_batch ~pool key [ "one" ]))
+            (Worm_util.Pool.map (Rsa.sign key) [ "one" ]))
         (Lazy.force kat_keys))
 
 (* One signature under a key of at least 1024 bits splits its two CRT
-   halves over a pool: [Rsa.sign] on the shared pool, a one-message
-   [sign_batch] on the pool it is given. Either must give the bytes of
-   the sequential private operation, also when called from inside a
-   task of either pool (a split nested in a pooled task must not
-   deadlock). The reference encodes PKCS#1 v1.5 itself and signs
-   through [raw_apply_secret]. *)
+   halves over the pool: [Rsa.sign] itself, or a one-message batch
+   through [Pool.map], on the shared pool and on a 2-domain one. Either
+   must give the bytes of the sequential private operation, also when
+   called from inside a pool task (where it signs inline). The
+   reference encodes PKCS#1 v1.5 itself and signs through
+   [raw_apply_secret]. *)
 let sequential_signature key msg =
   let pub = Rsa.public_of key in
   let k = (Nat.bit_length pub.Rsa.n + 7) / 8 in
@@ -226,43 +223,36 @@ let sequential_signature key msg =
 
 let test_split_signing () =
   let msgs = kat_msgs @ List.init 5 (Printf.sprintf "split message %d") in
-  let shared = Worm_util.Pool.shared () in
-  Worm_util.Pool.with_pool ~domains:2 (fun pool2 ->
-      let one_item pool key msg =
-        match Rsa.sign_batch ~pool key [ msg ] with [ s ] -> s | _ -> Alcotest.fail "one signature per message"
-      in
-      let signers =
-        [
-          ("sign", Rsa.sign);
-          ("one-item batch, shared pool", one_item shared);
-          ("one-item batch, 2-domain pool", one_item pool2);
-        ]
-      in
-      let callers =
-        [
-          ("caller", List.map);
-          ("shared-pool tasks", Worm_util.Pool.map_list shared);
-          ("2-domain-pool tasks", Worm_util.Pool.map_list pool2);
-        ]
-      in
-      List.iter
-        (fun (key, bits, fingerprint, _) ->
-          if bits >= 1024 then begin
-            let expected = List.map (sequential_signature key) msgs in
-            Alcotest.(check (list string))
-              (Printf.sprintf "rsa-%d %s unpooled batch = raw_apply_secret" bits fingerprint)
-              expected (Rsa.sign_batch key msgs);
-            List.iter
-              (fun (signer, sign) ->
+  let one_item key msg =
+    match Worm_util.Pool.map (Rsa.sign key) [ msg ] with [ s ] -> s | _ -> Alcotest.fail "one signature per message"
+  in
+  let signers = [ ("sign", Rsa.sign); ("one-item batch", one_item) ] in
+  let callers = [ ("caller", List.map); ("pool tasks", Worm_util.Pool.map) ] in
+  let pools = [ ("shared pool", fun f -> f ()); ("2-domain pool", Worm_util.Pool.with_width 2) ] in
+  List.iter
+    (fun (key, bits, fingerprint, _) ->
+      if bits >= 1024 then begin
+        let expected = List.map (sequential_signature key) msgs in
+        Alcotest.(check (list string))
+          (Printf.sprintf "rsa-%d %s 1-domain batch = raw_apply_secret" bits fingerprint)
+          expected
+          (Worm_util.Pool.with_width 1 (fun () -> Worm_util.Pool.map (Rsa.sign key) msgs));
+        List.iter
+          (fun (pool, within) ->
+            within (fun () ->
                 List.iter
-                  (fun (caller, map) ->
-                    Alcotest.(check (list string))
-                      (Printf.sprintf "rsa-%d %s %s from %s = raw_apply_secret" bits fingerprint signer caller)
-                      expected (map (sign key) msgs))
-                  callers)
-              signers
-          end)
-        (Lazy.force kat_keys))
+                  (fun (signer, sign) ->
+                    List.iter
+                      (fun (caller, map) ->
+                        Alcotest.(check (list string))
+                          (Printf.sprintf "rsa-%d %s %s from %s, %s = raw_apply_secret" bits fingerprint signer
+                             caller pool)
+                          expected (map (sign key) msgs))
+                      callers)
+                  signers))
+          pools
+      end)
+    (Lazy.force kat_keys)
 
 let suite =
   [
